@@ -55,7 +55,7 @@ for cand in candidates[:5]:
 # ---------------------------------------------------------------------------
 selected = select_nonoverlapping(candidates)
 print(f"\nselected {len(selected)} disjoint segments:")
-print("  " + " ".join(f"[{s},{e})" for s, e in selected.intervals()))
+print("  " + " ".join(f"[{seg.start},{seg.end})" for seg in selected))
 
 # ---------------------------------------------------------------------------
 # Stage 4: boundary refinement and merging. Every accepted move strictly
@@ -70,7 +70,7 @@ merged = merge_adjacent(ctx, refined)
 n_merges = sum(1 for op, *_ in trace if op == "merge")
 print(f"\nrefinement accepted {len(trace) - n_merges} boundary moves, then {n_merges} merges")
 print("  " + " ".join(f"[{s},{e})" for s, e in
-                      sorted(seg.interval for seg in merged.segments)))
+                      sorted(seg.interval for seg in merged)))
 
 # ---------------------------------------------------------------------------
 # Stage 5: significance calls with BH FDR control. The correction counts

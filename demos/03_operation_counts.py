@@ -26,5 +26,5 @@ for n in (1_000, 5_000, 20_000, 100_000):
     scan(profile, ps, NoiseModel(1.0), cfg, counter=counter)
     print(f"{n:>8d} {c_brute:>14d} {c_memo:>12d} {c_brute / c_memo:>7.1f} {counter.count:>9d}")
 
-print("\nmeasured counts stay below 3 x C_b*: the stride thins the window grid,")
-print("while the two prefix arrays double the linear setup cost.")
+print("\nmeasured counts stay below C_b*: the stride thins the window grid,")
+print("and the prefix build costs one add per point.")

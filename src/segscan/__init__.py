@@ -14,12 +14,11 @@ from .evaluation import (EvalReport, brute_force_segment,
 from .pipeline import segment_profile
 from .profiles import (Profile, SegmentRecord, parse_profile, read_profile,
                        read_segments, write_segments)
-from .refinement import (RefineContext, expand_left, expand_right,
-                         merge_adjacent, refine_all, shrink_left, shrink_right)
+from .refinement import (RefineContext, merge_adjacent, move_boundary,
+                         refine_all)
 from .scanning import (Candidate, ScanConfig, predicted_op_counts, scan,
                        window_lengths)
-from .selection import (BoundarySet, CandidateStore, SelectedSet,
-                        check_overlap, select_nonoverlapping)
+from .selection import BoundarySet, select_nonoverlapping
 from .significance import (SegmentationResult, apply_biological_cutoff,
                            bh_select, bh_select_log, finalize)
 from .simulation import (PlantedSegment, SimSpec, benchmark_suite,
@@ -31,18 +30,17 @@ from .stats import (NoiseModel, OpCounter, PrefixSums, build_prefix_sums,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySet", "Candidate", "CandidateStore", "DegenerateScaleError",
-    "EvalReport", "NoiseModel", "OpCounter", "PlantedSegment", "PrefixSums",
-    "Profile", "ProfileParseError", "RefineContext", "ScanConfig",
-    "SegmentRecord", "SegmentationResult", "SegscanError", "SelectedSet",
-    "SimSpec", "ValidationError", "apply_biological_cutoff",
-    "benchmark_suite", "bh_select", "bh_select_log", "brute_force_segment",
-    "build_prefix_sums", "check_overlap", "enumerate_candidates_dense",
-    "estimate_sigma_mad", "expand_left", "expand_right", "finalize",
-    "greedy_disjoint", "log_p_value", "merge_adjacent", "p_value",
-    "parse_profile", "positions_mask", "predicted_op_counts", "read_profile",
-    "read_segments", "read_truth_manifest", "refine_all", "scan", "score",
-    "segment_profile", "segment_stats", "select_nonoverlapping",
-    "shrink_left", "shrink_right", "simulate", "window_lengths",
-    "write_segments", "write_truth_manifest", "z_statistic",
+    "BoundarySet", "Candidate", "DegenerateScaleError", "EvalReport",
+    "NoiseModel", "OpCounter", "PlantedSegment", "PrefixSums", "Profile",
+    "ProfileParseError", "RefineContext", "ScanConfig", "SegmentRecord",
+    "SegmentationResult", "SegscanError", "SimSpec", "ValidationError",
+    "apply_biological_cutoff", "benchmark_suite", "bh_select",
+    "bh_select_log", "brute_force_segment", "build_prefix_sums",
+    "enumerate_candidates_dense", "estimate_sigma_mad", "finalize",
+    "greedy_disjoint", "log_p_value", "merge_adjacent", "move_boundary",
+    "p_value", "parse_profile", "positions_mask", "predicted_op_counts",
+    "read_profile", "read_segments", "read_truth_manifest", "refine_all",
+    "scan", "score", "segment_profile", "segment_stats",
+    "select_nonoverlapping", "simulate", "window_lengths", "write_segments",
+    "write_truth_manifest", "z_statistic",
 ]

@@ -24,7 +24,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ValidationError
 from .profiles import Profile
 from .scanning import Candidate, ScanConfig
-from .selection import SelectedSet
 from .stats import NoiseModel, log_p_value_batch
 
 
@@ -104,7 +103,7 @@ def enumerate_candidates_dense(profile: Profile, noise: NoiseModel,
     return pool
 
 
-def greedy_disjoint(pool) -> SelectedSet:
+def greedy_disjoint(pool) -> list[Candidate]:
     """Greedy disjoint selection by ascending p with a linear-scan overlap check."""
     ranked = sorted(pool, key=lambda c: c.sort_key)
     picked: list[Candidate] = []
@@ -112,11 +111,11 @@ def greedy_disjoint(pool) -> SelectedSet:
         if all(cand.end <= other.start or cand.start >= other.end for other in picked):
             picked.append(cand)
     picked.sort(key=lambda c: c.start)
-    return SelectedSet(picked)
+    return picked
 
 
 def brute_force_segment(profile: Profile, noise: NoiseModel, max_n: int = 500,
-                        cfg: ScanConfig | None = None) -> SelectedSet:
+                        cfg: ScanConfig | None = None) -> list[Candidate]:
     """Exhaustive reference segmentation for small instances.
 
     Evaluates every segment with length in [w_min, w_max] by direct

@@ -1,7 +1,8 @@
 """Boundary refinement and merging of selected segments.
 
 Each selected segment is polished by four local moves: expand left, expand
-right, shrink left, shrink right. A move proposes shifting one boundary by
+right, shrink left, shrink right, all run by one kernel (move_boundary)
+that is told which edge moves and in which direction. A move proposes shifting one boundary by
 ceil(L/K) (L the current length, K the refinement divisor, default 10). If
 the proposal strictly lowers the p-value it is accepted and the move
 repeats; otherwise every boundary strictly between the proposal and the
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from .scanning import Candidate, ScanConfig
-from .selection import BoundarySet, SelectedSet
+from .selection import BoundarySet
 from .stats import NoiseModel, PrefixSums, log_p_value, z_statistic
 
 
@@ -52,119 +53,59 @@ class RefineContext:
             self.trace.append((op, before, after))
 
 
-def _jump(length: int, k: int) -> int:
-    return math.ceil(length / k)
+#: Boundary moves in the order refine_segment applies them, each mapped to
+#: (moves the left edge, moves outward).
+MOVES = {
+    "expand_left": (True, True),
+    "expand_right": (False, True),
+    "shrink_left": (True, False),
+    "shrink_right": (False, False),
+}
 
 
-def expand_left(ctx: RefineContext, seg: Candidate) -> Candidate:
-    """Move the left boundary outward while the p-value improves.
+def move_boundary(ctx: RefineContext, seg: Candidate, op: str) -> Candidate:
+    """Move one boundary of ``seg`` while the p-value strictly improves.
 
-    The segment's own interval must not be in ctx.boundaries while it is
-    being refined (refine_all removes and reinserts it).
+    ``op`` names the boundary and direction (a key of MOVES). Outward moves
+    stop at the nearest committed neighbor or the profile edge, so the
+    segment's own interval must not be in ctx.boundaries while it is being
+    refined (refine_all removes and reinserts it); inward moves keep at
+    least one point. The skipped gap is searched outermost boundary first
+    and only a strictly better p replaces the best so far, so ties keep the
+    longer segment.
     """
-    k = ctx.cfg.k_refine
-    limit = ctx.boundaries.left_limit(seg.start)
+    left, outward = MOVES[op]
+    sign = -1 if left == outward else 1
+    if not outward:
+        limit = seg.end - 1 if left else seg.start + 1
+    elif left:
+        limit = ctx.boundaries.left_limit(seg.start)
+    else:
+        limit = ctx.boundaries.right_limit(seg.end, ctx.ps.n)
+
+    def moved(cur: Candidate, boundary: int) -> Candidate:
+        return ctx.stat(boundary, cur.end) if left else ctx.stat(cur.start, boundary)
+
     cur = seg
     while True:
-        l0 = cur.start
-        proposal = max(l0 - _jump(cur.length, k), limit)
-        if proposal >= l0:
+        edge = cur.start if left else cur.end
+        step = min(math.ceil(cur.length / ctx.cfg.k_refine), (limit - edge) * sign)
+        if step <= 0:
             break
-        jumped = ctx.stat(proposal, cur.end)
+        proposal = edge + sign * step
+        jumped = moved(cur, proposal)
         if jumped.log_p < cur.log_p:
-            ctx._record("expand_left", cur, jumped)
+            ctx._record(op, cur, jumped)
             cur = jumped
             continue
+        gap = range(min(edge, proposal) + 1, max(edge, proposal))
         best = None
-        for left in range(proposal + 1, l0):
-            trial = ctx.stat(left, cur.end)
+        for boundary in gap if left else reversed(gap):
+            trial = moved(cur, boundary)
             if best is None or trial.log_p < best.log_p:
                 best = trial
         if best is not None and best.log_p < cur.log_p:
-            ctx._record("expand_left", cur, best)
-            cur = best
-        break
-    return cur
-
-
-def expand_right(ctx: RefineContext, seg: Candidate) -> Candidate:
-    """Mirror image of expand_left on the right boundary."""
-    k = ctx.cfg.k_refine
-    limit = ctx.boundaries.right_limit(seg.end, ctx.ps.n)
-    cur = seg
-    while True:
-        r0 = cur.end
-        proposal = min(r0 + _jump(cur.length, k), limit)
-        if proposal <= r0:
-            break
-        jumped = ctx.stat(cur.start, proposal)
-        if jumped.log_p < cur.log_p:
-            ctx._record("expand_right", cur, jumped)
-            cur = jumped
-            continue
-        best = None
-        for right in range(proposal - 1, r0, -1):
-            trial = ctx.stat(cur.start, right)
-            if best is None or trial.log_p < best.log_p:
-                best = trial
-        if best is not None and best.log_p < cur.log_p:
-            ctx._record("expand_right", cur, best)
-            cur = best
-        break
-    return cur
-
-
-def shrink_left(ctx: RefineContext, seg: Candidate) -> Candidate:
-    """Move the left boundary inward while the p-value improves."""
-    if seg.length < 2:
-        return seg
-    k = ctx.cfg.k_refine
-    cur = seg
-    while cur.length >= 2:
-        l0 = cur.start
-        proposal = min(l0 + _jump(cur.length, k), cur.end - 1)
-        if proposal <= l0:
-            break
-        jumped = ctx.stat(proposal, cur.end)
-        if jumped.log_p < cur.log_p:
-            ctx._record("shrink_left", cur, jumped)
-            cur = jumped
-            continue
-        best = None
-        for left in range(l0 + 1, proposal):
-            trial = ctx.stat(left, cur.end)
-            if best is None or trial.log_p < best.log_p:
-                best = trial
-        if best is not None and best.log_p < cur.log_p:
-            ctx._record("shrink_left", cur, best)
-            cur = best
-        break
-    return cur
-
-
-def shrink_right(ctx: RefineContext, seg: Candidate) -> Candidate:
-    """Mirror image of shrink_left on the right boundary."""
-    if seg.length < 2:
-        return seg
-    k = ctx.cfg.k_refine
-    cur = seg
-    while cur.length >= 2:
-        r0 = cur.end
-        proposal = max(r0 - _jump(cur.length, k), cur.start + 1)
-        if proposal >= r0:
-            break
-        jumped = ctx.stat(cur.start, proposal)
-        if jumped.log_p < cur.log_p:
-            ctx._record("shrink_right", cur, jumped)
-            cur = jumped
-            continue
-        best = None
-        for right in range(r0 - 1, proposal, -1):
-            trial = ctx.stat(cur.start, right)
-            if best is None or trial.log_p < best.log_p:
-                best = trial
-        if best is not None and best.log_p < cur.log_p:
-            ctx._record("shrink_right", cur, best)
+            ctx._record(op, cur, best)
             cur = best
         break
     return cur
@@ -174,21 +115,20 @@ def refine_segment(ctx: RefineContext, seg: Candidate) -> Candidate:
     """Apply the four boundary moves until a full pass changes nothing."""
     while True:
         before = seg.interval
-        seg = expand_left(ctx, seg)
-        seg = expand_right(ctx, seg)
-        seg = shrink_left(ctx, seg)
-        seg = shrink_right(ctx, seg)
+        for op in MOVES:
+            seg = move_boundary(ctx, seg, op)
         if seg.interval == before:
             return seg
 
 
-def refine_all(ctx: RefineContext, selected: SelectedSet) -> SelectedSet:
+def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]:
     """Refine every selected segment, best p-value first.
 
     ctx.boundaries must hold exactly the selected intervals on entry; it is
-    updated in place and holds the refined intervals on return.
+    updated in place and holds the refined intervals on return. Returns the
+    refined segments sorted by start.
     """
-    order = sorted(selected.segments, key=lambda c: c.sort_key)
+    order = sorted(selected, key=lambda c: c.sort_key)
     refined: list[Candidate] = []
     for seg in order:
         ctx.boundaries.remove(seg.start, seg.end)
@@ -196,18 +136,19 @@ def refine_all(ctx: RefineContext, selected: SelectedSet) -> SelectedSet:
         ctx.boundaries.insert(new.start, new.end)
         refined.append(new)
     refined.sort(key=lambda c: c.start)
-    return SelectedSet(refined)
+    return refined
 
 
-def merge_adjacent(ctx: RefineContext, selected: SelectedSet) -> SelectedSet:
+def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]:
     """Merge consecutive segments while the spanning segment beats both.
 
     The span runs from the first segment's left boundary to the second's
     right boundary and includes any gap points. After a merge the new
     segment is re-tested against its neighbors; the scan terminates at a
-    fixpoint where no consecutive pair can merge.
+    fixpoint where no consecutive pair can merge. Returns the segments
+    sorted by start.
     """
-    segs = sorted(selected.segments, key=lambda c: c.start)
+    segs = sorted(selected, key=lambda c: c.start)
     i = 0
     while i + 1 < len(segs):
         left, right = segs[i], segs[i + 1]
@@ -222,4 +163,4 @@ def merge_adjacent(ctx: RefineContext, selected: SelectedSet) -> SelectedSet:
                 i -= 1
         else:
             i += 1
-    return SelectedSet(segs)
+    return segs

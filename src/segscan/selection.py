@@ -1,20 +1,17 @@
 """Greedy minimum-p selection of mutually disjoint candidates.
 
-Candidates are drawn best-first from a binary heap keyed by
-(log_p, length descending, start); an ordered set of committed intervals
-answers overlap queries by inspecting only the neighbors of the query
-point. A candidate that overlaps nothing already committed is selected,
-everything else is discarded. Intervals are half-open, so segments that
-merely share a boundary point do not overlap.
+Candidates are visited best-first in (log_p, length descending, start)
+order; an ordered set of committed intervals answers overlap queries by
+inspecting only the neighbors of the query point. A candidate that overlaps
+nothing already committed is selected, everything else is discarded.
+Intervals are half-open, so segments that merely share a boundary point do
+not overlap.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from itertools import count
 
 from .errors import ValidationError
 from .scanning import Candidate
@@ -70,64 +67,24 @@ class BoundarySet:
         return list(zip(self._starts, self._ends))
 
 
-def check_overlap(boundaries: BoundarySet, start: int, end: int) -> bool:
-    """Overlap query against the committed boundary set."""
-    return boundaries.overlaps(start, end)
-
-
-@dataclass
-class SelectedSet:
-    """Disjoint selected segments, sorted by start."""
-
-    segments: list[Candidate] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.segments)
-
-    def __iter__(self):
-        return iter(self.segments)
-
-    def intervals(self) -> list[tuple[int, int]]:
-        return [seg.interval for seg in self.segments]
-
-
-class CandidateStore:
-    """p-ordered candidate pool plus the committed boundary interval set."""
-
-    def __init__(self, candidates):
-        self._tie = count()
-        self._heap = [(c.sort_key, next(self._tie), c) for c in candidates]
-        heapq.heapify(self._heap)
-        self.boundaries = BoundarySet()
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def pop_best(self) -> Candidate | None:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[-1]
-
-    def commit(self, candidate: Candidate) -> None:
-        self.boundaries.insert(candidate.start, candidate.end)
-
-
-def select_nonoverlapping(candidates, p_s: float | None = None) -> SelectedSet:
+def select_nonoverlapping(candidates, p_s: float | None = None) -> list[Candidate]:
     """Greedily select disjoint candidates in ascending p order.
 
-    Repeatedly extracts the best remaining candidate; commits it when it
-    does not overlap anything already committed, discards it otherwise.
-    The result is exactly the greedy-by-p-value disjoint subset. The
-    scanner already filtered at p_s; passing it here re-checks that under
-    `python -O`-stripped assertions.
+    Visits the candidates best first; commits each one that does not
+    overlap anything already committed and discards the rest. The result is
+    exactly the greedy-by-p-value disjoint subset, sorted by start. The sort
+    is stable, so equal keys keep their input order, and it costs one linear
+    pass on scan's output, which is already in this order. The scanner has
+    already filtered at p_s; passing it here re-checks that with an
+    assertion (skipped under ``python -O``).
     """
     if p_s is not None:
         assert all(c.log_p <= math.log(p_s) for c in candidates), "candidate above p_s"
-    store = CandidateStore(candidates)
+    committed = BoundarySet()
     picked: list[Candidate] = []
-    while (candidate := store.pop_best()) is not None:
-        if not check_overlap(store.boundaries, candidate.start, candidate.end):
-            store.commit(candidate)
+    for candidate in sorted(candidates, key=lambda c: c.sort_key):
+        if not committed.overlaps(candidate.start, candidate.end):
+            committed.insert(candidate.start, candidate.end)
             picked.append(candidate)
     picked.sort(key=lambda c: c.start)
-    return SelectedSet(picked)
+    return picked

@@ -15,8 +15,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .profiles import Profile, SegmentRecord
-from .scanning import ScanConfig
-from .selection import SelectedSet
+from .scanning import Candidate, ScanConfig
 from .stats import (NoiseModel, PrefixSums, build_prefix_sums,
                     estimate_sigma_mad, segment_stats)
 
@@ -96,7 +95,7 @@ def apply_biological_cutoff(records, p_b: float, background: float) -> list[Segm
     return out
 
 
-def finalize(profile: Profile, refined: SelectedSet, cfg: ScanConfig,
+def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
              noise: NoiseModel | None = None,
              ps: PrefixSums | None = None,
              m_total: int | None = None) -> SegmentationResult:
@@ -112,7 +111,7 @@ def finalize(profile: Profile, refined: SelectedSet, cfg: ScanConfig,
         noise = estimate_sigma_mad(profile, cfg.background)
     if ps is None:
         ps = build_prefix_sums(profile)
-    segments = sorted(refined.segments, key=lambda c: c.start)
+    segments = sorted(refined, key=lambda c: c.start)
     stats = [segment_stats(ps, noise, seg.start, seg.end, cfg.sides) for seg in segments]
     log_ps = np.array([s[2] for s in stats], dtype=np.float64)
     log_threshold, mask = bh_select_log(log_ps, cfg.alpha, m_total=m_total)

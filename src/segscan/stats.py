@@ -10,7 +10,7 @@ ranking and FDR arithmetic exact in that regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -61,16 +61,9 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class PrefixSums:
-    """Cumulative sums of a profile, length n+1 with cumulative[0] == 0.
-
-    ``cumulative_sq`` holds the matching sum-of-squares array. The z test
-    only needs the global sigma, but windowed standard deviations memoize
-    the same way and the array is kept for diagnostics and a future
-    estimated-variance mode.
-    """
+    """Cumulative sums of a profile, length n+1 with cumulative[0] == 0."""
 
     cumulative: np.ndarray
-    cumulative_sq: np.ndarray = field(repr=False)
     n: int = 0
 
     def range_sum(self, start: int, end: int) -> float:
@@ -79,7 +72,7 @@ class PrefixSums:
 
 
 def build_prefix_sums(profile, counter: OpCounter | None = None) -> PrefixSums:
-    """Build cumulative sum and sum-of-squares arrays for a profile.
+    """Build the cumulative sum array of a profile.
 
     O(N) construction; afterwards any segment sum is one subtraction.
     """
@@ -87,14 +80,10 @@ def build_prefix_sums(profile, counter: OpCounter | None = None) -> PrefixSums:
     cumulative = np.empty(values.size + 1, dtype=np.float64)
     cumulative[0] = 0.0
     np.cumsum(values, out=cumulative[1:])
-    cumulative_sq = np.empty_like(cumulative)
-    cumulative_sq[0] = 0.0
-    np.cumsum(values * values, out=cumulative_sq[1:])
     cumulative.flags.writeable = False
-    cumulative_sq.flags.writeable = False
     if counter is not None:
-        counter.add(2 * values.size)
-    return PrefixSums(cumulative, cumulative_sq, int(values.size))
+        counter.add(values.size)
+    return PrefixSums(cumulative, int(values.size))
 
 
 def estimate_sigma_mad(profile, background: float = 0.0) -> NoiseModel:

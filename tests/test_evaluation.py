@@ -82,20 +82,20 @@ class TestScore:
 class TestBruteForce:
     def test_constant_zero_profile(self):
         picked = brute_force_segment(Profile(np.zeros(50)), NoiseModel(1.0))
-        assert picked.segments == []
+        assert picked == []
 
     def test_spike_selects_singleton(self):
         values = np.zeros(20)
         values[7] = 6.0
         picked = brute_force_segment(Profile(values), NoiseModel(1.0))
-        assert picked.intervals() == [(7, 8)]
+        assert [c.interval for c in picked] == [(7, 8)]
 
     def test_refusal_over_max_n(self):
         with pytest.raises(ValidationError, match="max_n"):
             brute_force_segment(Profile(np.zeros(501)), NoiseModel(1.0))
         # explicit override allows it
         picked = brute_force_segment(Profile(np.zeros(501)), NoiseModel(1.0), max_n=600)
-        assert picked.segments == []
+        assert picked == []
 
     def test_disjoint_and_greedy_consistent(self):
         rng = np.random.default_rng(53)
@@ -103,11 +103,11 @@ class TestBruteForce:
         values[30:45] += 2.5
         values[90:91] += 5.0
         picked = brute_force_segment(Profile(values), NoiseModel(1.0))
-        intervals = picked.intervals()
+        intervals = [c.interval for c in picked]
         assert intervals
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert e1 <= s2
-        ranked = sorted(picked.segments, key=lambda c: c.sort_key)
+        ranked = sorted(picked, key=lambda c: c.sort_key)
         for i, cand in enumerate(ranked):
             assert cand.log_p <= np.log(ScanConfig().p_s)
 
@@ -123,4 +123,4 @@ class TestBruteForce:
         pipeline = select_nonoverlapping(
             scan(profile, build_prefix_sums(profile), noise, cfg, exhaustive=True))
         oracle = brute_force_segment(profile, noise, cfg=cfg)
-        assert pipeline.intervals() == oracle.intervals()
+        assert [c.interval for c in pipeline] == [c.interval for c in oracle]

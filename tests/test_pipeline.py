@@ -1,9 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from segscan import (DegenerateScaleError, PlantedSegment, Profile, ScanConfig,
-                     SimSpec, positions_mask, score, segment_profile, simulate,
-                     write_segments)
+                     SimSpec, benchmark_suite, positions_mask, score,
+                     segment_profile, simulate, write_segments)
+
+# sha256 over the short suite's output tables and refinement traces; see
+# test_golden_suite_bytes.
+GOLDEN_SHORT_SUITE_SHA256 = "5a22050aa4e99dcd11c96bdddd25a80fa2feecc78c9c75a5509d859cc982e126"
 
 
 def test_zero_profile_no_records():
@@ -75,3 +81,17 @@ def test_trace_and_counter_hooks():
             assert after.log_p < min(left.log_p, right.log_p)
         else:
             assert after.log_p < before.log_p
+
+
+def test_golden_suite_bytes():
+    # Pins the exact bytes of every output table and the repr of every
+    # refinement trace on the canonical short suite, so refactors that must
+    # not change behaviour are checked byte for byte. The digest depends on
+    # numpy's generator streams and on scipy's log_ndtr; a change in either
+    # library can move it without any change here.
+    digest = hashlib.sha256()
+    for profile, _ in benchmark_suite("short", snr=1.0, seed=0):
+        trace = []
+        digest.update(write_segments(segment_profile(profile, trace=trace), profile))
+        digest.update(repr(trace).encode())
+    assert digest.hexdigest() == GOLDEN_SHORT_SUITE_SHA256

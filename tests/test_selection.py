@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from segscan import (BoundarySet, Candidate, ValidationError, check_overlap,
+from segscan import (BoundarySet, Candidate, ValidationError,
                      select_nonoverlapping)
 
 
@@ -32,19 +32,19 @@ def _greedy_oracle(candidates):
 
 class TestBoundarySet:
     def test_empty_never_overlaps(self):
-        assert not check_overlap(BoundarySet(), 0, 10)
+        assert not BoundarySet().overlaps(0, 10)
 
     def test_half_open_adjacency(self):
         bs = BoundarySet()
         bs.insert(10, 20)
-        assert not check_overlap(bs, 20, 25)
-        assert not check_overlap(bs, 0, 10)
+        assert not bs.overlaps(20, 25)
+        assert not bs.overlaps(0, 10)
 
     def test_containment(self):
         bs = BoundarySet()
         bs.insert(10, 20)
-        assert check_overlap(bs, 15, 16)
-        assert check_overlap(bs, 0, 100)
+        assert bs.overlaps(15, 16)
+        assert bs.overlaps(0, 100)
 
     def test_insert_overlapping_rejected(self):
         bs = BoundarySet()
@@ -71,18 +71,18 @@ class TestBoundarySet:
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValidationError):
-            check_overlap(BoundarySet(), 5, 5)
+            BoundarySet().overlaps(5, 5)
 
 
 class TestSelect:
     def test_disjoint_pair_both_selected(self):
         a, b = _cand(0, 10, 1e-6), _cand(20, 30, 1e-4)
-        assert select_nonoverlapping([a, b]).intervals() == [(0, 10), (20, 30)]
+        assert [c.interval for c in select_nonoverlapping([a, b])] == [(0, 10), (20, 30)]
 
     def test_overlap_better_p_wins(self):
         a = _cand(0, 10, 1e-6)
         b = _cand(5, 15, 1e-4)
-        assert select_nonoverlapping([a, b]).intervals() == [(0, 10)]
+        assert [c.interval for c in select_nonoverlapping([a, b])] == [(0, 10)]
 
     def test_adjacent_not_overlapping(self):
         a, b = _cand(0, 10, 1e-6), _cand(10, 20, 1e-4)
@@ -93,29 +93,29 @@ class TestSelect:
         short = _cand(0, 5, p)
         long_right = _cand(3, 13, p)
         picked = select_nonoverlapping([short, long_right])
-        assert picked.intervals() == [(3, 13)]
+        assert [c.interval for c in picked] == [(3, 13)]
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             candidates = _random_candidates(rng, 50)
-            got = select_nonoverlapping(candidates).intervals()
+            got = [c.interval for c in select_nonoverlapping(candidates)]
             assert sorted(got) == _greedy_oracle(candidates)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(22)
         candidates = _random_candidates(rng, 80)
-        base = select_nonoverlapping(candidates).intervals()
+        base = [c.interval for c in select_nonoverlapping(candidates)]
         for _ in range(5):
             shuffled = list(candidates)
             rng.shuffle(shuffled)
-            assert select_nonoverlapping(shuffled).intervals() == base
+            assert [c.interval for c in select_nonoverlapping(shuffled)] == base
 
     def test_output_disjoint_and_greedy_consistent(self):
         rng = np.random.default_rng(23)
         candidates = _random_candidates(rng, 300, n=500)
         picked = select_nonoverlapping(candidates)
-        intervals = picked.intervals()
+        intervals = [c.interval for c in picked]
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert e1 <= s2
         # no discarded candidate is disjoint from every better-ranked selection

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from segscan import (NoiseModel, Profile, ScanConfig, SegmentRecord,
-                     SelectedSet, ValidationError, apply_biological_cutoff,
-                     bh_select, finalize)
+                     ValidationError, apply_biological_cutoff, bh_select,
+                     finalize)
 from segscan.scanning import Candidate
 from segscan.stats import build_prefix_sums, segment_stats
 
@@ -129,7 +129,7 @@ class TestFinalize:
         for start, end in intervals:
             mean, z, log_p = segment_stats(ps, noise, start, end, "two")
             segments.append(Candidate(start, end, z, log_p))
-        return profile, noise, SelectedSet(segments)
+        return profile, noise, segments
 
     def test_empty(self):
         profile, noise, selected = self._setup(np.zeros(20) + 0.1, [])
@@ -176,8 +176,8 @@ class TestFinalize:
         cfg = ScanConfig()
         first = finalize(profile, selected, cfg, noise=noise)
         again = finalize(profile,
-                         SelectedSet([Candidate(r.start, r.end, r.z, r.log_p)
-                                      for r in first.records]),
+                         [Candidate(r.start, r.end, r.z, r.log_p)
+                          for r in first.records],
                          cfg, noise=noise)
         assert again.records == first.records
         assert again.bh_threshold == first.bh_threshold
