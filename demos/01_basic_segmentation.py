@@ -47,7 +47,7 @@ print(f"\nestimated sigma = {noise.sigma:.4f} (true 1.0)")
 candidates = scan(profile, ps, noise, cfg)
 print(f"scan retained {len(candidates)} candidate windows")
 print("best five candidates (p ascending):")
-for cand in candidates[:5]:
+for cand in map(candidates.candidate, range(min(5, len(candidates)))):
     print(f"  [{cand.start:5d}, {cand.end:5d})  z = {cand.z:7.2f}  log_p = {cand.log_p:9.2f}")
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import tempfile
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 from .errors import SegscanError
@@ -130,38 +131,65 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def _segment_one(path_str: str, fmt: str, cfg: ScanConfig, sigma: float | None,
                  out_format: str) -> bytes:
-    profile = read_profile(path_str, format=fmt)
-    result = segment_profile(profile, cfg, sigma=sigma)
+    try:
+        profile = read_profile(path_str, format=fmt)
+        result = segment_profile(profile, cfg, sigma=sigma)
+    except OSError as exc:
+        raise SegscanError(f"{path_str}: {exc.strerror or exc}") from exc
+    except SegscanError as exc:
+        raise SegscanError(f"{path_str}: {exc}") from exc
     return write_segments(result, profile, format=out_format)
+
+
+def _outcome(table_of) -> bytes | SegscanError:
+    try:
+        return table_of()
+    except SegscanError as exc:
+        return exc
 
 
 def _cmd_segment(args) -> int:
     cfg = _config_from(args)
     inputs = [Path(p) for p in args.inputs]
     suffix = ".segments.tsv" if args.out_format == "tsv" else ".segments.bed"
-    if len(inputs) > 1:
+    if len(inputs) == 1:
+        table = _segment_one(str(inputs[0]), args.format, cfg, args.sigma, args.out_format)
         if args.output is None:
-            print("segscan segment: error: --output DIRECTORY is required with "
-                  "multiple inputs", file=sys.stderr)
-            return EXIT_USAGE
-        out_dir = Path(args.output)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        work = [(str(p), args.format, cfg, args.sigma, args.out_format) for p in inputs]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                tables = list(pool.map(_segment_one, *zip(*work)))
+            sys.stdout.buffer.write(table)
+            sys.stdout.buffer.flush()
         else:
-            tables = [_segment_one(*item) for item in work]
-        for path, table in zip(inputs, tables):
-            _atomic_write(out_dir / (path.stem + suffix), table)
+            _atomic_write(Path(args.output), table)
         return EXIT_OK
-    table = _segment_one(str(inputs[0]), args.format, cfg, args.sigma, args.out_format)
     if args.output is None:
-        sys.stdout.buffer.write(table)
-        sys.stdout.buffer.flush()
+        print("segscan segment: error: --output DIRECTORY is required with "
+              "multiple inputs", file=sys.stderr)
+        return EXIT_USAGE
+    written_from: dict[str, Path] = {}
+    for path in inputs:
+        name = path.stem + suffix
+        if name in written_from:
+            print(f"segscan segment: error: {written_from[name]} and {path} would both "
+                  f"be written to {name}", file=sys.stderr)
+            return EXIT_USAGE
+        written_from[name] = path
+    out_dir = Path(args.output)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    work = [(str(p), args.format, cfg, args.sigma, args.out_format) for p in inputs]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(inputs))) as pool:
+            futures = [pool.submit(_segment_one, *item) for item in work]
+            outcomes = [_outcome(future.result) for future in futures]
     else:
-        _atomic_write(Path(args.output), table)
-    return EXIT_OK
+        outcomes = [_outcome(partial(_segment_one, *item)) for item in work]
+    # one bad profile must not hide the results of the others
+    failed = 0
+    for path, outcome in zip(inputs, outcomes):
+        if isinstance(outcome, SegscanError):
+            print(f"segscan: error: {outcome}", file=sys.stderr)
+            failed += 1
+        else:
+            _atomic_write(out_dir / (path.stem + suffix), outcome)
+    return EXIT_DATA if failed else EXIT_OK
 
 
 def _cmd_simulate(args) -> int:

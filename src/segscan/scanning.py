@@ -10,9 +10,14 @@ available from predicted_op_counts for comparison against an instrumented
 run.
 
 Every window whose tail probability is at or below the retention threshold
-p_s becomes a Candidate. Candidates order by (log_p ascending, length
-descending, start ascending); the secondary keys make runs reproducible when
-p-values tie.
+p_s becomes a candidate. The scan keeps candidates as the numpy columns of a
+CandidateTable, never as one Python object per window: at each scale it
+computes z for every window, drops windows whose |z| (z for the one-sided
+test) is below a slightly loose bound derived from p_s, and runs the exact
+log p-value test only on the survivors, so that test alone decides
+membership. Rows order by (log_p ascending, length descending, start
+ascending), set by one lexsort; the secondary keys make runs reproducible
+when p-values tie.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .stats import NoiseModel, OpCounter, PrefixSums, log_p_value_batch
+from .stats import NoiseModel, OpCounter, PrefixSums, log_p_value_batch, z_cut
 
 logger = logging.getLogger(__name__)
 
@@ -103,6 +108,47 @@ class Candidate:
         return (self.log_p, self.start - self.end, self.start)
 
 
+# eq=False: a generated __eq__ would compare numpy columns elementwise
+@dataclass(frozen=True, eq=False)
+class CandidateTable:
+    """Scan candidates as columns, rows in (log_p, length descending, start) order.
+
+    ``start`` and ``end`` are int64, ``z`` and ``log_p`` float64, all of one
+    length. ``candidate(i)`` builds the Candidate of row ``i``; stages that
+    need only a few rows as objects (selection) build just those.
+    """
+
+    start: np.ndarray
+    end: np.ndarray
+    z: np.ndarray
+    log_p: np.ndarray
+
+    def __len__(self) -> int:
+        return self.start.size
+
+    def candidate(self, i: int) -> Candidate:
+        return Candidate(int(self.start[i]), int(self.end[i]), float(self.z[i]),
+                         float(self.log_p[i]))
+
+    @classmethod
+    def _sorted(cls, start, end, z, log_p) -> "CandidateTable":
+        start = np.asarray(start, dtype=np.int64)
+        end = np.asarray(end, dtype=np.int64)
+        log_p = np.asarray(log_p, dtype=np.float64)
+        # stable, so rows with equal keys keep their input order; lexsort's
+        # last key is the primary one
+        order = np.lexsort((start, start - end, log_p))
+        return cls(start[order], end[order], np.asarray(z, dtype=np.float64)[order],
+                   log_p[order])
+
+    @classmethod
+    def from_candidates(cls, candidates) -> "CandidateTable":
+        """Table of Candidate objects given in any order."""
+        cands = list(candidates)
+        return cls._sorted([c.start for c in cands], [c.end for c in cands],
+                           [c.z for c in cands], [c.log_p for c in cands])
+
+
 def window_lengths(cfg: ScanConfig) -> list[int]:
     """Sorted deduplicated window lengths ceil(rho**i * w_min) up to w_max."""
     out: list[int] = []
@@ -129,7 +175,7 @@ def _window_starts(n: int, w: int, exhaustive: bool) -> np.ndarray:
 
 
 def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
-         exhaustive: bool = False, counter: OpCounter | None = None) -> list[Candidate]:
+         exhaustive: bool = False, counter: OpCounter | None = None) -> CandidateTable:
     """Enumerate candidate segments with p <= p_s across all window scales.
 
     Parameters
@@ -151,14 +197,18 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
 
     Returns
     -------
-    list of Candidate, sorted by (log_p, length descending, start).
+    CandidateTable
+        One row per window with log p <= log p_s, in (log_p, length
+        descending, start) order. z is computed for every window; the
+        p-value only for windows past the z_cut prefilter.
     """
     cfg = cfg.clamped(ps.n)
     n = ps.n
     lengths = range(cfg.w_min, cfg.w_max + 1) if exhaustive else window_lengths(cfg)
     log_ps_max = math.log(cfg.p_s)
+    cut = z_cut(log_ps_max, cfg.sides)
     cum = ps.cumulative
-    out: list[Candidate] = []
+    found = []
     for w in lengths:
         starts = _window_starts(n, w, exhaustive)
         if counter is not None:
@@ -166,12 +216,12 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
         sums = cum[starts + w] - cum[starts]
         # must mirror stats.z_statistic operation for operation
         z = (sums / w - noise.background) * np.sqrt(w) / noise.sigma
-        log_p = log_p_value_batch(z, cfg.sides)
-        for idx in np.flatnonzero(log_p <= log_ps_max):
-            s = int(starts[idx])
-            out.append(Candidate(s, s + w, float(z[idx]), float(log_p[idx])))
-    out.sort(key=lambda c: c.sort_key)
-    return out
+        near = np.flatnonzero((np.abs(z) if cfg.sides == "two" else z) >= cut)
+        log_p = log_p_value_batch(z[near], cfg.sides)
+        keep = log_p <= log_ps_max
+        hit = near[keep]
+        found.append((starts[hit], starts[hit] + w, z[hit], log_p[keep]))
+    return CandidateTable._sorted(*(np.concatenate(column) for column in zip(*found)))
 
 
 def predicted_op_counts(n: int, cfg: ScanConfig) -> tuple[int, int]:

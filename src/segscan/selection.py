@@ -1,9 +1,10 @@
 """Greedy minimum-p selection of mutually disjoint candidates.
 
-Candidates are visited best-first in (log_p, length descending, start)
-order; an ordered set of committed intervals answers overlap queries by
-inspecting only the neighbors of the query point. A candidate that overlaps
-nothing already committed is selected, everything else is discarded.
+Candidates are visited best-first in the (log_p, length descending, start)
+row order of scan's CandidateTable; an ordered set of committed intervals
+answers overlap queries by inspecting only the neighbors of the query point.
+A candidate that overlaps nothing already committed is selected, everything
+else is discarded.
 Intervals are half-open, so segments that merely share a boundary point do
 not overlap.
 """
@@ -14,7 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 from .errors import ValidationError
-from .scanning import Candidate
+from .scanning import Candidate, CandidateTable
 
 
 class BoundarySet:
@@ -67,24 +68,24 @@ class BoundarySet:
         return list(zip(self._starts, self._ends))
 
 
-def select_nonoverlapping(candidates, p_s: float | None = None) -> list[Candidate]:
+def select_nonoverlapping(table: CandidateTable, p_s: float | None = None) -> list[Candidate]:
     """Greedily select disjoint candidates in ascending p order.
 
-    Visits the candidates best first; commits each one that does not
-    overlap anything already committed and discards the rest. The result is
-    exactly the greedy-by-p-value disjoint subset, sorted by start. The sort
-    is stable, so equal keys keep their input order, and it costs one linear
-    pass on scan's output, which is already in this order. The scanner has
+    Walks the table's rows in order, which is best first; commits each row
+    that does not overlap anything already committed and discards the rest.
+    Only the committed rows become Candidate objects. The result is exactly
+    the greedy-by-p-value disjoint subset, sorted by start. The scanner has
     already filtered at p_s; passing it here re-checks that with an
     assertion (skipped under ``python -O``).
     """
     if p_s is not None:
-        assert all(c.log_p <= math.log(p_s) for c in candidates), "candidate above p_s"
+        assert (table.log_p <= math.log(p_s)).all(), "candidate above p_s"
     committed = BoundarySet()
-    picked: list[Candidate] = []
-    for candidate in sorted(candidates, key=lambda c: c.sort_key):
-        if not committed.overlaps(candidate.start, candidate.end):
-            committed.insert(candidate.start, candidate.end)
-            picked.append(candidate)
-    picked.sort(key=lambda c: c.start)
-    return picked
+    starts = table.start.tolist()
+    picked: list[int] = []
+    for i, (start, end) in enumerate(zip(starts, table.end.tolist())):
+        if not committed.overlaps(start, end):
+            committed.insert(start, end)
+            picked.append(i)
+    picked.sort(key=starts.__getitem__)
+    return [table.candidate(i) for i in picked]

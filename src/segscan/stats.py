@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import DegenerateScaleError, ValidationError
 
@@ -151,6 +151,21 @@ def log_p_value_batch(z: np.ndarray, sides: str = "two") -> np.ndarray:
     if sides == "two":
         return LOG_TWO + log_ndtr(-np.abs(z))
     return log_ndtr(-z)
+
+
+def z_cut(log_p_max: float, sides: str = "two") -> float:
+    """A bound that every z with log_p_value(z) <= log_p_max meets.
+
+    Two-sided: such z have |z| >= the bound; one-sided: z >= the bound.
+    The bound is the inverse of log_ndtr, taken in log space so that
+    thresholds down to the smallest positive double work, and loosened by
+    a relative 1e-6 so that rounding in the inverse never drops a window
+    the exact test keeps. It is -inf for a one-sided test at p = 1.
+    """
+    if sides == "two":
+        log_p_max -= LOG_TWO
+    cut = -float(ndtri_exp(log_p_max))
+    return cut - 1e-6 * (1.0 + abs(cut))
 
 
 def segment_stats(ps: PrefixSums, noise: NoiseModel, start: int, end: int,

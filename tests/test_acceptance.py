@@ -7,14 +7,13 @@ these results are stable across runs and machines.
 
 import math
 import time
-from collections import defaultdict
 
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from segscan import (Candidate, NoiseModel, Profile, ScanConfig, bh_select,
-                     brute_force_segment, build_prefix_sums,
+from segscan import (Candidate, CandidateTable, NoiseModel, Profile, ScanConfig,
+                     bh_select, brute_force_segment, build_prefix_sums,
                      enumerate_candidates_dense, estimate_sigma_mad, finalize,
                      greedy_disjoint, positions_mask, predicted_op_counts,
                      scan, score, segment_profile, select_nonoverlapping,
@@ -52,24 +51,23 @@ def test_c01_memoization_correctness():
         profile = Profile(values)
         noise = NoiseModel(1.0)
         ps = build_prefix_sums(profile)
-        candidates = scan(profile, ps, noise, ScanConfig(p_s=1.0))
-        by_length = defaultdict(list)
-        for cand in candidates:
-            by_length[cand.length].append(cand)
-        for w, group in by_length.items():
-            starts = np.array([c.start for c in group])
+        table = scan(profile, ps, noise, ScanConfig(p_s=1.0))
+        lengths = table.end - table.start
+        for w in np.unique(lengths).tolist():
+            group = lengths == w
+            starts = table.start[group]
             direct_sums = sliding_window_view(values, w)[starts].sum(axis=1)
             direct_mean = direct_sums / w
             direct_z = (direct_sums / w) * np.sqrt(w) / noise.sigma
             direct_log_p = log_p_value_batch(direct_z)
             prefix_mean = (ps.cumulative[starts + w] - ps.cumulative[starts]) / w
-            got_z = np.array([c.z for c in group])
-            got_log_p = np.array([c.log_p for c in group])
+            got_z = table.z[group]
+            got_log_p = table.log_p[group]
             # atol covers near-zero means where a pure relative bound is ill-posed
             assert np.allclose(prefix_mean, direct_mean, rtol=1e-9, atol=1e-9)
             assert np.allclose(got_z, direct_z, rtol=1e-9, atol=1e-9)
             assert np.allclose(got_log_p, direct_log_p, rtol=1e-9, atol=1e-9)
-            checked += len(group)
+            checked += starts.size
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
     _passed("criterion 1: memoization correctness",
@@ -124,7 +122,7 @@ def test_c04_greedy_selection_property():
             end = start + int(rng.integers(1, 50))
             log_p = float(np.log(rng.uniform(1e-15, 1e-3)))
             candidates.append(Candidate(start, end, 5.0, log_p))
-        picked = select_nonoverlapping(candidates)
+        picked = select_nonoverlapping(CandidateTable.from_candidates(candidates))
         chosen = {c.interval for c in picked}
         committed = []
         for cand in sorted(candidates, key=lambda c: c.sort_key):

@@ -1,6 +1,9 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from segscan import cli
 from segscan.cli import main
 from segscan.profiles import read_segments
 from segscan.simulation import SimSpec, simulate, write_profile_plain
@@ -77,6 +80,66 @@ class TestSegment:
         assert main(["segment", str(a), str(b), "--output", str(out_dir)]) == 0
         assert (out_dir / "a.segments.tsv").exists()
         assert (out_dir / "b.segments.tsv").exists()
+
+    def test_shared_stem_rejected_before_any_work(self, tmp_path, capsys):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a = _write_profile(tmp_path / "a" / "x.txt", seed=3)
+        b = _write_profile(tmp_path / "b" / "x.txt", seed=4)
+        out_dir = tmp_path / "out"
+        assert main(["segment", str(a), str(b), "--output", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert str(a) in err and str(b) in err
+        assert not out_dir.exists()
+
+    def test_data_error_names_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1.0\n2.0\nNA\n")
+        assert main(["segment", str(bad)]) == 2
+        assert f"{bad}: line 3: malformed numeric field 'NA'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_bad_input_keeps_good_tables(self, tmp_path, capsys, jobs):
+        good = _write_profile(tmp_path / "good.txt", seed=6)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1.0\n2.0\nNA\n")
+        missing = tmp_path / "missing.txt"
+        out_dir = tmp_path / "out"
+        assert main(["segment", str(good), str(bad), str(missing), "--output", str(out_dir),
+                     "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: line 3: malformed numeric field 'NA'" in err
+        assert f"{missing}: " in err
+        assert sorted(p.name for p in out_dir.iterdir()) == ["good.segments.tsv"]
+        assert main(["segment", str(good), "--output", str(tmp_path / "alone.tsv")]) == 0
+        assert (out_dir / "good.segments.tsv").read_bytes() == \
+            (tmp_path / "alone.tsv").read_bytes()
+
+    def test_workers_limited_to_inputs(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            # records the pool size and runs each task in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        paths = [str(_write_profile(tmp_path / f"p{i}.txt", seed=20 + i)) for i in range(2)]
+        out_dir = tmp_path / "out"
+        assert main(["segment", *paths, "--output", str(out_dir), "--jobs", "64"]) == 0
+        assert sizes == [2]
+        assert (out_dir / "p0.segments.tsv").exists() and (out_dir / "p1.segments.tsv").exists()
 
     def test_jobs_do_not_change_output(self, tmp_path):
         paths = [str(_write_profile(tmp_path / f"p{i}.txt", seed=10 + i, length=1500))

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from segscan import (NoiseModel, Profile, ScanConfig, ValidationError,
                      build_prefix_sums, predicted_op_counts, scan,
                      window_lengths)
-from segscan.stats import OpCounter
+from segscan.stats import OpCounter, log_p_value_batch
 
 
 class TestScanConfig:
@@ -66,7 +68,7 @@ class TestScan:
     def test_constant_zero_profile(self):
         profile, noise = _flat_profile(100)
         ps = build_prefix_sums(profile)
-        assert scan(profile, ps, noise, ScanConfig()) == []
+        assert len(scan(profile, ps, noise, ScanConfig())) == 0
 
     def test_block_signal_top_candidate_matches_exhaustive_eval(self):
         # independent oracle: evaluate the same scan grid with fsum + scipy
@@ -86,29 +88,29 @@ class TestScan:
                 key = (log_p, -w, s)
                 if best_key is None or key < best_key:
                     best_key, best = key, (s, s + w)
-        assert got[0].interval == best
-        assert got[0].log_p == pytest.approx(best_key[0], abs=1e-9)
+        assert got.candidate(0).interval == best
+        assert got.candidate(0).log_p == pytest.approx(best_key[0], abs=1e-9)
 
     def test_stride_for_w7(self):
         # ceil(7/5) = 2: starts 0, 2, 4, ... plus the right-aligned tail
         profile, noise = _flat_profile(20)
         cands = scan(profile, build_prefix_sums(profile), noise,
                      ScanConfig(w_min=7, w_max=7, p_s=1.0))
-        starts = sorted(c.start for c in cands)
+        starts = sorted(cands.start.tolist())
         assert starts == [0, 2, 4, 6, 8, 10, 12, 13]
 
     def test_right_aligned_tail_window(self):
         profile, noise = _flat_profile(11)
         cands = scan(profile, build_prefix_sums(profile), noise,
                      ScanConfig(w_min=6, w_max=6, p_s=1.0))
-        assert {c.start for c in cands} == {0, 2, 4, 5}
+        assert set(cands.start.tolist()) == {0, 2, 4, 5}
 
     def test_no_candidate_above_ps(self):
         rng = np.random.default_rng(8)
         profile = Profile(rng.normal(size=2000))
         noise = NoiseModel(1.0)
         cands = scan(profile, build_prefix_sums(profile), noise, ScanConfig(p_s=0.01))
-        assert all(c.log_p <= math.log(0.01) for c in cands)
+        assert all(log_p <= math.log(0.01) for log_p in cands.log_p.tolist())
 
     def test_candidates_match_direct_recompute(self):
         rng = np.random.default_rng(9)
@@ -117,8 +119,8 @@ class TestScan:
         profile = Profile(values)
         noise = NoiseModel(1.0, background=0.0)
         cands = scan(profile, build_prefix_sums(profile), noise, ScanConfig(p_s=0.05))
-        assert cands
-        for c in cands[::7]:
+        assert len(cands)
+        for c in map(cands.candidate, range(0, len(cands), 7)):
             total = math.fsum(values[c.start:c.end])
             z = (total / c.length) * math.sqrt(c.length)
             assert c.z == pytest.approx(z, rel=1e-9, abs=1e-9)
@@ -130,8 +132,9 @@ class TestScan:
         ps = build_prefix_sums(profile)
         first = scan(profile, ps, noise, ScanConfig(p_s=0.2))
         second = scan(profile, ps, noise, ScanConfig(p_s=0.2))
-        assert first == second
-        keys = [c.sort_key for c in first]
+        for column in ("start", "end", "z", "log_p"):
+            assert np.array_equal(getattr(first, column), getattr(second, column))
+        keys = [first.candidate(i).sort_key for i in range(len(first))]
         assert keys == sorted(keys)
 
     def test_exhaustive_mode_covers_every_placement(self):
@@ -148,8 +151,47 @@ class TestScan:
         noise = NoiseModel(1.0)
         cands = scan(profile, build_prefix_sums(profile), noise,
                      ScanConfig(sides="one"))
-        assert cands
-        assert all(c.z > 0 for c in cands)
+        assert len(cands)
+        assert all(z > 0 for z in cands.z.tolist())
+
+
+def _unfiltered_scan(values, noise, cfg):
+    # reference: log_p for every window of the sparse grid, exact filter, lexsort
+    n = len(values)
+    cum = np.concatenate(([0.0], np.cumsum(values)))
+    columns = []
+    for w in window_lengths(cfg.clamped(n)):
+        starts = np.array(sorted(set(range(0, n - w + 1, math.ceil(w / 5))) | {n - w}))
+        sums = cum[starts + w] - cum[starts]
+        z = (sums / w - noise.background) * np.sqrt(w) / noise.sigma
+        log_p = log_p_value_batch(z, cfg.sides)
+        keep = log_p <= math.log(cfg.p_s)
+        columns.append((starts[keep], starts[keep] + w, z[keep], log_p[keep]))
+    start, end, z, log_p = (np.concatenate(c) for c in zip(*columns))
+    order = np.lexsort((start, start - end, log_p))
+    return start[order], end[order], z[order], log_p[order]
+
+
+class TestPrefilter:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=60),
+           background=st.floats(-3.0, 3.0).filter(lambda b: b != 0.0),
+           sigma=st.sampled_from([0.05, 1.0, 4.0]),
+           p_s=st.sampled_from([1.0, 0.5, 1e-3, 1e-300, 5e-324]),
+           sides=st.sampled_from(["one", "two"]))
+    @example(values=[0.0] * 10 + [50.0] * 20 + [-50.0] * 20, background=1.0,
+             sigma=0.05, p_s=5e-324, sides="two")
+    # one-sided at p_s = 1 the cut is -inf: windows at z < -100 must stay
+    @example(values=[-50.0] * 30, background=2.0, sigma=0.05, p_s=1.0, sides="one")
+    def test_matches_unfiltered_reference(self, values, background, sigma, p_s, sides):
+        values = np.array(values)
+        profile = Profile(values)
+        noise = NoiseModel(sigma, background=background)
+        cfg = ScanConfig(w_max=40, p_s=p_s, sides=sides)
+        table = scan(profile, build_prefix_sums(profile), noise, cfg)
+        expected = _unfiltered_scan(values, noise, cfg)
+        for column, want in zip(("start", "end", "z", "log_p"), expected):
+            assert np.array_equal(getattr(table, column), want), column
 
 
 class TestPredictedOpCounts:

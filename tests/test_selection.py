@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from segscan import (BoundarySet, Candidate, ValidationError,
+from segscan import (BoundarySet, Candidate, CandidateTable, ValidationError,
                      select_nonoverlapping)
 
 
 def _cand(start, end, p):
     z = 5.0  # z is irrelevant to selection
     return Candidate(start, end, z, math.log(p))
+
+
+def _select(candidates):
+    return select_nonoverlapping(CandidateTable.from_candidates(candidates))
 
 
 def _random_candidates(rng, count, n=200):
@@ -77,44 +81,44 @@ class TestBoundarySet:
 class TestSelect:
     def test_disjoint_pair_both_selected(self):
         a, b = _cand(0, 10, 1e-6), _cand(20, 30, 1e-4)
-        assert [c.interval for c in select_nonoverlapping([a, b])] == [(0, 10), (20, 30)]
+        assert [c.interval for c in _select([a, b])] == [(0, 10), (20, 30)]
 
     def test_overlap_better_p_wins(self):
         a = _cand(0, 10, 1e-6)
         b = _cand(5, 15, 1e-4)
-        assert [c.interval for c in select_nonoverlapping([a, b])] == [(0, 10)]
+        assert [c.interval for c in _select([a, b])] == [(0, 10)]
 
     def test_adjacent_not_overlapping(self):
         a, b = _cand(0, 10, 1e-6), _cand(10, 20, 1e-4)
-        assert len(select_nonoverlapping([a, b])) == 2
+        assert len(_select([a, b])) == 2
 
     def test_tie_break_longer_then_leftmost(self):
         p = 1e-5
         short = _cand(0, 5, p)
         long_right = _cand(3, 13, p)
-        picked = select_nonoverlapping([short, long_right])
+        picked = _select([short, long_right])
         assert [c.interval for c in picked] == [(3, 13)]
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             candidates = _random_candidates(rng, 50)
-            got = [c.interval for c in select_nonoverlapping(candidates)]
+            got = [c.interval for c in _select(candidates)]
             assert sorted(got) == _greedy_oracle(candidates)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(22)
         candidates = _random_candidates(rng, 80)
-        base = [c.interval for c in select_nonoverlapping(candidates)]
+        base = [c.interval for c in _select(candidates)]
         for _ in range(5):
             shuffled = list(candidates)
             rng.shuffle(shuffled)
-            assert [c.interval for c in select_nonoverlapping(shuffled)] == base
+            assert [c.interval for c in _select(shuffled)] == base
 
     def test_output_disjoint_and_greedy_consistent(self):
         rng = np.random.default_rng(23)
         candidates = _random_candidates(rng, 300, n=500)
-        picked = select_nonoverlapping(candidates)
+        picked = _select(candidates)
         intervals = [c.interval for c in picked]
         for (s1, e1), (s2, e2) in zip(intervals, intervals[1:]):
             assert e1 <= s2
