@@ -20,11 +20,11 @@ from .scanning import (Candidate, CandidateTable, ScanConfig,
                        predicted_op_counts, scan, window_lengths)
 from .selection import BoundarySet, select_nonoverlapping
 from .significance import (SegmentationResult, apply_biological_cutoff,
-                           bh_select, bh_select_log, finalize)
+                           bh_select_log, finalize)
 from .simulation import (PlantedSegment, SimSpec, benchmark_suite,
                          read_truth_manifest, simulate, write_truth_manifest)
 from .stats import (NoiseModel, OpCounter, PrefixSums, build_prefix_sums,
-                    estimate_sigma_mad, log_p_value, p_value, segment_stats,
+                    estimate_sigma_mad, log_p_value, segment_stats,
                     z_statistic)
 
 __version__ = "0.1.0"
@@ -35,10 +35,10 @@ __all__ = [
     "Profile", "ProfileParseError", "RefineContext", "ScanConfig",
     "SegmentRecord", "SegmentationResult", "SegscanError", "SimSpec",
     "ValidationError", "apply_biological_cutoff", "benchmark_suite",
-    "bh_select", "bh_select_log", "brute_force_segment", "build_prefix_sums",
+    "bh_select_log", "brute_force_segment", "build_prefix_sums",
     "enumerate_candidates_dense", "estimate_sigma_mad", "finalize",
     "greedy_disjoint", "log_p_value", "merge_adjacent", "move_boundary",
-    "p_value", "parse_profile", "positions_mask", "predicted_op_counts",
+    "parse_profile", "positions_mask", "predicted_op_counts",
     "read_profile", "read_segments", "read_truth_manifest", "refine_all",
     "scan", "score", "segment_profile", "segment_stats",
     "select_nonoverlapping", "simulate", "window_lengths", "write_segments",

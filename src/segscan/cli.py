@@ -14,7 +14,9 @@ import sys
 import tempfile
 import time
 import traceback
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -129,15 +131,22 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+@contextmanager
+def _naming(path) -> Iterator[None]:
+    """Prefix data and OS errors raised in the block with the input path."""
+    try:
+        yield
+    except OSError as exc:
+        raise SegscanError(f"{path}: {exc.strerror or exc}") from exc
+    except SegscanError as exc:
+        raise SegscanError(f"{path}: {exc}") from exc
+
+
 def _segment_one(path_str: str, fmt: str, cfg: ScanConfig, sigma: float | None,
                  out_format: str) -> bytes:
-    try:
+    with _naming(path_str):
         profile = read_profile(path_str, format=fmt)
         result = segment_profile(profile, cfg, sigma=sigma)
-    except OSError as exc:
-        raise SegscanError(f"{path_str}: {exc.strerror or exc}") from exc
-    except SegscanError as exc:
-        raise SegscanError(f"{path_str}: {exc}") from exc
     return write_segments(result, profile, format=out_format)
 
 
@@ -207,7 +216,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    truth, manifest_length = read_truth_manifest(Path(args.truth).read_bytes())
+    with _naming(args.truth):
+        truth, manifest_length = read_truth_manifest(Path(args.truth).read_bytes())
     length = args.length if args.length is not None else manifest_length
     if length is None:
         raise SegscanError("profile length unknown; pass --length or use a manifest "
@@ -219,7 +229,8 @@ def _cmd_evaluate(args) -> int:
         pred_path = pred_dir / f"{profile_id}.segments.tsv"
         if not pred_path.exists():
             raise SegscanError(f"missing prediction table {pred_path}")
-        records = read_segments(pred_path.read_bytes())
+        with _naming(pred_path):
+            records = read_segments(pred_path.read_bytes())
         predicted = [r for r in records if r.significant]
         report = score(positions_mask(predicted, length), positions_mask(truth[profile_id], length))
         reports.append(report)

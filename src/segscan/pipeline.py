@@ -11,8 +11,7 @@ from .stats import NoiseModel, OpCounter, build_prefix_sums, estimate_sigma_mad
 
 
 def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
-                    sigma: float | None = None, exhaustive: bool = False,
-                    counter: OpCounter | None = None,
+                    sigma: float | None = None, counter: OpCounter | None = None,
                     trace: list | None = None) -> SegmentationResult:
     """Segment one profile and return the finalized result.
 
@@ -25,9 +24,6 @@ def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
     sigma : float, optional
         Known noise scale; overrides MAD estimation. Required for profiles
         whose MAD is zero.
-    exhaustive : bool
-        Scan every length at stride 1 instead of the sparse grid (testing
-        mode, quadratic).
     counter : OpCounter, optional
         Collects summation-operation counts for the prefix build and scan.
     trace : list, optional
@@ -39,7 +35,7 @@ def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
     else:
         noise = estimate_sigma_mad(profile, cfg.background)
     ps = build_prefix_sums(profile, counter)
-    candidates = scan(profile, ps, noise, cfg, exhaustive=exhaustive, counter=counter)
+    candidates = scan(profile, ps, noise, cfg, counter=counter)
     selected = select_nonoverlapping(candidates, p_s=cfg.p_s)
     ctx = RefineContext(ps=ps, noise=noise, cfg=cfg, trace=trace)
     for seg in selected:

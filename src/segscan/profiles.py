@@ -88,11 +88,6 @@ class SegmentRecord:
         p = math.exp(min(self.log_p, 0.0))
         return p if p > 0.0 else TINY_P
 
-    @property
-    def p_underflow(self) -> bool:
-        """True when the exact p-value is below the smallest positive double."""
-        return math.exp(min(self.log_p, 0.0)) == 0.0
-
 
 def _decode(source) -> str:
     if isinstance(source, bytes):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .scanning import Candidate, ScanConfig
 from .selection import BoundarySet
-from .stats import NoiseModel, PrefixSums, log_p_value, z_statistic
+from .stats import NoiseModel, PrefixSums, segment_stats
 
 
 @dataclass
@@ -44,9 +44,8 @@ class RefineContext:
 
     def stat(self, start: int, end: int) -> Candidate:
         """Candidate statistics for [start, end) from prefix sums."""
-        n = end - start
-        z = z_statistic(self.ps.range_sum(start, end), n, self.noise)
-        return Candidate(start, end, z, log_p_value(z, self.cfg.sides))
+        _, z, log_p = segment_stats(self.ps, self.noise, start, end, self.cfg.sides)
+        return Candidate(start, end, z, log_p)
 
     def _record(self, op: str, before, after) -> None:
         if self.trace is not None:

@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ValidationError
-from .stats import NoiseModel, OpCounter, PrefixSums, log_p_value_batch, z_cut
+from .stats import (NoiseModel, OpCounter, PrefixSums, log_p_value_batch, z_cut,
+                    z_statistic_batch)
 
 logger = logging.getLogger(__name__)
 
@@ -213,9 +214,7 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
         starts = _window_starts(n, w, exhaustive)
         if counter is not None:
             counter.add(starts.size)
-        sums = cum[starts + w] - cum[starts]
-        # must mirror stats.z_statistic operation for operation
-        z = (sums / w - noise.background) * np.sqrt(w) / noise.sigma
+        z = z_statistic_batch(cum[starts + w] - cum[starts], w, noise)
         near = np.flatnonzero((np.abs(z) if cfg.sides == "two" else z) >= cut)
         log_p = log_p_value_batch(z[near], cfg.sides)
         keep = log_p <= log_ps_max

@@ -1,9 +1,10 @@
 """Benjamini-Hochberg FDR control and the optional magnitude cutoff.
 
-BH is applied to the refined, merged segment set (not the raw candidate
-pool, which contains heavily overlapping windows and would double-count
-hypotheses). All segments are kept in the output with their significance
-flags so results can be re-thresholded without re-running the pipeline.
+BH ranks the final segments (the refined, merged, disjoint set). Its
+denominator is ``m_total``, the size of the hypothesis family those segments
+were drawn from; the pipeline passes the number of candidates the scan
+retained. All segments are kept in the output with their significance flags
+so results can be re-thresholded without re-running the pipeline.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .profiles import Profile, SegmentRecord
 from .scanning import Candidate, ScanConfig
-from .stats import (NoiseModel, PrefixSums, build_prefix_sums,
-                    estimate_sigma_mad, segment_stats)
+from .stats import TINY_P, NoiseModel, PrefixSums, segment_stats
 
 
 @dataclass(frozen=True)
@@ -60,25 +60,6 @@ def bh_select_log(log_p: np.ndarray, alpha: float,
     return (float(ranked[k - 1]) if k else -math.inf), mask
 
 
-def bh_select(p_values, alpha: float,
-              m_total: int | None = None) -> tuple[float, np.ndarray]:
-    """Benjamini-Hochberg procedure on plain p-values.
-
-    Sorts p ascending, finds the largest i with p(i) <= i*alpha/m, rejects
-    hypotheses 1..i. Returns (threshold p, rejection mask in input order);
-    the threshold is 0 when nothing is rejected. By default m is the number
-    of supplied p-values; ``m_total`` widens the family (see bh_select_log).
-    """
-    p = np.asarray(p_values, dtype=np.float64)
-    if p.size and (np.any(p < 0) or np.any(p > 1) or np.any(np.isnan(p))):
-        raise ValidationError("p-values must lie in [0, 1]")
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must be in (0, 1)")
-    with np.errstate(divide="ignore"):
-        log_threshold, mask = bh_select_log(np.log(p), alpha, m_total=m_total)
-    return (math.exp(log_threshold) if mask.any() else 0.0), mask
-
-
 def apply_biological_cutoff(records, p_b: float, background: float) -> list[SegmentRecord]:
     """Clear the significant flag on records with |mean - background| < p_b.
 
@@ -96,21 +77,18 @@ def apply_biological_cutoff(records, p_b: float, background: float) -> list[Segm
 
 
 def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
-             noise: NoiseModel | None = None,
-             ps: PrefixSums | None = None,
+             noise: NoiseModel, ps: PrefixSums,
              m_total: int | None = None) -> SegmentationResult:
     """Recompute statistics, run BH at cfg.alpha, apply the cutoff.
 
-    Statistics are recomputed from the profile rather than trusted from the
-    refinement caches. ``m_total`` should be the number of candidates the
-    scan retained (the hypothesis family the segments were drawn from); the
-    pipeline supplies it. When omitted, the family is just the final
-    segments, which is a weaker correction.
+    Statistics are recomputed from the prefix sums ``ps`` of ``profile``
+    under ``noise`` rather than trusted from the refinement caches.
+    ``m_total`` should be the number of candidates the scan retained (the
+    hypothesis family the segments were drawn from); the pipeline supplies
+    it. When omitted, the family is just the final segments, which is a
+    weaker correction. ``bh_threshold`` is 0 when nothing is rejected and
+    otherwise at least TINY_P, like SegmentRecord.p_value.
     """
-    if noise is None:
-        noise = estimate_sigma_mad(profile, cfg.background)
-    if ps is None:
-        ps = build_prefix_sums(profile)
     segments = sorted(refined, key=lambda c: c.start)
     stats = [segment_stats(ps, noise, seg.start, seg.end, cfg.sides) for seg in segments]
     log_ps = np.array([s[2] for s in stats], dtype=np.float64)
@@ -122,6 +100,6 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     ]
     if cfg.p_b is not None:
         records = apply_biological_cutoff(records, cfg.p_b, cfg.background)
-    threshold = math.exp(log_threshold) if mask.any() else 0.0
+    threshold = max(math.exp(log_threshold), TINY_P) if mask.any() else 0.0
     return SegmentationResult(records=tuple(records), bh_threshold=threshold,
                               config=cfg, noise=noise)

@@ -154,7 +154,11 @@ def read_truth_manifest(source) -> tuple[dict[str, list[PlantedSegment]], int | 
             continue
         if stripped.startswith("#"):
             if stripped.startswith("# length="):
-                length = int(stripped.split("=", 1)[1])
+                try:
+                    length = int(stripped.split("=", 1)[1])
+                except ValueError:
+                    raise ProfileParseError(f"malformed length header {stripped!r}",
+                                            line=lineno) from None
             continue
         fields = stripped.split("\t")
         if len(fields) != 4:

@@ -18,7 +18,6 @@ from scipy.special import log_ndtr, ndtri_exp
 from .errors import DegenerateScaleError, ValidationError
 
 LOG_TWO = math.log(2.0)
-_SQRT2 = math.sqrt(2.0)
 
 # Consistency factor making the MAD estimate agree with the standard
 # deviation of a normal sample.
@@ -128,20 +127,13 @@ def z_statistic_batch(sums: np.ndarray, n: int, noise: NoiseModel) -> np.ndarray
     return (sums / n - noise.background) * np.sqrt(n) / noise.sigma
 
 
-def p_value(z: float, sides: str = "two") -> float:
-    """Gaussian tail probability of a z score.
-
-    Two-sided by default: p = 2*(1 - Phi(|z|)), evaluated as
-    erfc(|z|/sqrt(2)) which is accurate to better than 1e-12 relative for
-    |z| <= 8. One-sided mode tests for means above the background only.
-    """
-    if sides == "two":
-        return math.erfc(abs(z) / _SQRT2)
-    return 0.5 * math.erfc(z / _SQRT2)
-
-
 def log_p_value(z: float, sides: str = "two") -> float:
-    """Natural log of p_value(z); does not underflow for large |z|."""
+    """Natural log of the Gaussian tail probability of a z score.
+
+    Two-sided (default): p = 2 * Phi(-|z|); one-sided, testing for means
+    above the background only: p = Phi(-z). Evaluated with log_ndtr, so it
+    does not underflow for large |z|.
+    """
     if sides == "two":
         return float(LOG_TWO + log_ndtr(-abs(z)))
     return float(log_ndtr(-z))

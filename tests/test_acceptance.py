@@ -13,7 +13,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from segscan import (Candidate, CandidateTable, NoiseModel, Profile, ScanConfig,
-                     bh_select, brute_force_segment, build_prefix_sums,
+                     bh_select_log, brute_force_segment, build_prefix_sums,
                      enumerate_candidates_dense, estimate_sigma_mad, finalize,
                      greedy_disjoint, positions_mask, predicted_op_counts,
                      scan, score, segment_profile, select_nonoverlapping,
@@ -171,8 +171,8 @@ def test_c06_simulation_recovery(short_suite_snr2, short_suite_snr1):
         # oracle route: dense enumeration + linear greedy + the same finalize
         noise = estimate_sigma_mad(profile)
         pool = enumerate_candidates_dense(profile, noise)
-        oracle_result = finalize(profile, greedy_disjoint(pool), ScanConfig(),
-                                 noise=noise, m_total=len(pool))
+        oracle_result = finalize(profile, greedy_disjoint(pool), ScanConfig(), noise=noise,
+                                 ps=build_prefix_sums(profile), m_total=len(pool))
         oracle_sig = [r for r in oracle_result.records if r.significant]
         oracle_f1.append(score(positions_mask(oracle_sig, len(profile)),
                                positions_mask(truth, len(profile))).f1)
@@ -211,17 +211,17 @@ def test_c07_single_point_detection():
 
 
 def test_c08_bh_correctness():
-    """bh_select matches the quadratic reference on 1000 instances plus the worked example."""
-    threshold, mask = bh_select([0.001, 0.02, 0.04], alpha=0.05)
+    """bh_select_log matches the quadratic reference on 1000 instances plus the worked example."""
+    threshold, mask = bh_select_log(np.log([0.001, 0.02, 0.04]), alpha=0.05)
     assert mask.tolist() == [True, True, True]
-    assert threshold == pytest.approx(0.04)
+    assert math.exp(threshold) == pytest.approx(0.04)
 
     rng = np.random.default_rng(8)
     for _ in range(1000):
         m = int(rng.integers(1, 50))
         p = (rng.uniform(size=m) ** rng.integers(1, 4)).tolist()
         alpha = float(rng.uniform(0.005, 0.25))
-        _, mask = bh_select(p, alpha)
+        _, mask = bh_select_log(np.log(p), alpha)
         order = sorted(range(m), key=lambda i: p[i])
         k = 0
         for rank in range(1, m + 1):

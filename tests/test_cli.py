@@ -215,6 +215,20 @@ class TestEvaluateAndBench:
                      "--pred-dir", str(tmp_path)]) == 2
         capsys.readouterr()
 
+    def test_evaluate_malformed_length_header_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("# length=abc\n#profile_id\tstart\tend\tmu\np\t0\t5\t1.0\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
+        assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err
+
+    def test_evaluate_bad_prediction_table_names_the_file(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("# length=10\n#profile_id\tstart\tend\tmu\np\t0\t5\t1.0\n")
+        pred = tmp_path / "p.segments.tsv"
+        pred.write_text(".\t0\t5\t1.0\t2.0\t0.01\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
+        assert f"{pred}: line 1: expected 7 columns" in capsys.readouterr().err
+
     def test_bench_reports_median_times(self, suite_dir, tmp_path):
         out = tmp_path / "times.tsv"
         assert main(["bench", "--suite", str(suite_dir), "--repetitions", "2",

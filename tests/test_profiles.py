@@ -169,7 +169,7 @@ class TestRoundTrip:
     def test_tiny_p_clamps_not_zero(self):
         record = SegmentRecord(start=0, end=5, mean=9.0, z=50.0,
                                log_p=-2000.0, significant=True)
-        assert record.p_underflow
+        assert math.exp(record.log_p) == 0.0
         assert record.p_value > 0.0
         out = write_segments(_result([record]), Profile(np.ones(5)))
         parsed = read_segments(out)[0]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from segscan import (NoiseModel, Profile, ScanConfig, SegmentRecord,
-                     ValidationError, apply_biological_cutoff, bh_select,
-                     finalize)
+                     apply_biological_cutoff, bh_select_log, finalize)
 from segscan.scanning import Candidate
 from segscan.stats import build_prefix_sums, segment_stats
 
@@ -23,6 +22,13 @@ def _bh_oracle(p_values, alpha, m_total=None):
         mask[order[rank]] = True
     threshold = p_values[order[k - 1]] if k else 0.0
     return threshold, mask
+
+
+def bh_select(p_values, alpha, m_total=None):
+    # BH on plain p-values through the log-space procedure
+    with np.errstate(divide="ignore"):
+        log_threshold, mask = bh_select_log(np.log(p_values), alpha, m_total=m_total)
+    return math.exp(log_threshold), mask
 
 
 class TestBhSelect:
@@ -88,12 +94,6 @@ class TestBhSelect:
         _, mask_wider = bh_select(p, alpha=0.01, m_total=10_000)
         assert mask_wider.tolist() == [False, False, False]
 
-    def test_invalid_inputs(self):
-        with pytest.raises(ValidationError):
-            bh_select([0.5, 1.2], alpha=0.05)
-        with pytest.raises(ValidationError):
-            bh_select([0.5], alpha=0.0)
-
 
 class TestBiologicalCutoff:
     def _records(self, means, significant=True):
@@ -129,19 +129,19 @@ class TestFinalize:
         for start, end in intervals:
             mean, z, log_p = segment_stats(ps, noise, start, end, "two")
             segments.append(Candidate(start, end, z, log_p))
-        return profile, noise, segments
+        return profile, ps, noise, segments
 
     def test_empty(self):
-        profile, noise, selected = self._setup(np.zeros(20) + 0.1, [])
-        result = finalize(profile, selected, ScanConfig(), noise=noise)
+        profile, ps, noise, selected = self._setup(np.zeros(20) + 0.1, [])
+        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps)
         assert result.records == ()
         assert result.bh_threshold == 0.0
 
     def test_single_strong_segment(self):
         values = np.zeros(100)
         values[40:60] = 4.0
-        profile, noise, selected = self._setup(values, [(40, 60)])
-        result = finalize(profile, selected, ScanConfig(), noise=noise)
+        profile, ps, noise, selected = self._setup(values, [(40, 60)])
+        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps)
         assert len(result.records) == 1
         assert result.records[0].significant
 
@@ -152,9 +152,9 @@ class TestFinalize:
         values[200:210] += 1.0
         values[400:480] += 2.2
         intervals = [(50, 70), (200, 210), (400, 480), (520, 523)]
-        profile, noise, selected = self._setup(values, intervals)
+        profile, ps, noise, selected = self._setup(values, intervals)
         cfg = ScanConfig(p_b=0.5)
-        result = finalize(profile, selected, cfg, noise=noise, m_total=500)
+        result = finalize(profile, selected, cfg, noise=noise, ps=ps, m_total=500)
         # independent recomputation: direct stats + quadratic BH + cutoff rule
         p_direct = []
         means = []
@@ -172,13 +172,13 @@ class TestFinalize:
         rng = np.random.default_rng(46)
         values = rng.normal(size=300)
         values[100:140] += 2.5
-        profile, noise, selected = self._setup(values, [(100, 140), (200, 205)])
+        profile, ps, noise, selected = self._setup(values, [(100, 140), (200, 205)])
         cfg = ScanConfig()
-        first = finalize(profile, selected, cfg, noise=noise)
+        first = finalize(profile, selected, cfg, noise=noise, ps=ps)
         again = finalize(profile,
                          [Candidate(r.start, r.end, r.z, r.log_p)
                           for r in first.records],
-                         cfg, noise=noise)
+                         cfg, noise=noise, ps=ps)
         assert again.records == first.records
         assert again.bh_threshold == first.bh_threshold
 
@@ -187,10 +187,22 @@ class TestFinalize:
         values = rng.normal(size=500)
         values[50:90] += 2.0
         values[300:310] += 1.2
-        profile, noise, selected = self._setup(values, [(50, 90), (300, 310), (400, 402)])
-        result = finalize(profile, selected, ScanConfig(), noise=noise, m_total=200)
+        profile, ps, noise, selected = self._setup(values, [(50, 90), (300, 310), (400, 402)])
+        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps, m_total=200)
         for record in result.records:
             if record.significant:
                 assert record.p_value <= result.bh_threshold * (1 + 1e-12)
             else:
                 assert record.p_value > result.bh_threshold
+
+    def test_threshold_stays_positive_when_p_underflows(self):
+        # z = 6 * sqrt(100) = 60: p = exp(log_p) underflows to 0.0
+        values = np.zeros(2000)
+        values[1000:1100] = 6.0
+        profile, ps, noise, selected = self._setup(values, [(1000, 1100)])
+        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps)
+        record, = result.records
+        assert record.significant
+        assert math.exp(record.log_p) == 0.0
+        assert result.bh_threshold > 0.0
+        assert record.p_value <= result.bh_threshold

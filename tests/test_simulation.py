@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from segscan import (PlantedSegment, SimSpec, ValidationError, benchmark_suite,
-                     read_truth_manifest, simulate, write_truth_manifest)
+from segscan import (PlantedSegment, ProfileParseError, SimSpec, ValidationError,
+                     benchmark_suite, read_truth_manifest, simulate, write_truth_manifest)
 from segscan.simulation import (LONG_LAYOUT, LONG_LENGTH, SHORT_LAYOUT,
                                 SHORT_LENGTH, write_profile_plain)
 
@@ -105,6 +105,10 @@ class TestManifest:
         back, length = read_truth_manifest(write_truth_manifest(truth))
         assert back == truth
         assert length is None
+
+    def test_malformed_length_header_names_the_line(self):
+        with pytest.raises(ProfileParseError, match="line 2: malformed length header"):
+            read_truth_manifest(b"#profile_id\tstart\tend\tmu\n# length=abc\n")
 
     def test_profile_plain_round_trip(self, tmp_path):
         from segscan import read_profile

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from segscan import (DegenerateScaleError, NoiseModel, Profile, SimSpec,
-                     ValidationError, build_prefix_sums, estimate_sigma_mad,
-                     log_p_value, p_value, simulate, z_statistic)
+from segscan import (DegenerateScaleError, NoiseModel, Profile, RefineContext,
+                     ScanConfig, SimSpec, ValidationError, build_prefix_sums,
+                     estimate_sigma_mad, log_p_value, scan, simulate, z_statistic)
 from segscan.stats import OpCounter, log_p_value_batch, segment_stats
 
 
@@ -102,6 +104,17 @@ class TestZStatistic:
         assert z_statistic(2.0, 1, NoiseModel(2.0, background=1.0)) == pytest.approx(0.5)
 
 
+def _erfc_p(z, sides="two"):
+    # reference tail probability through erfc, independent of log_ndtr
+    if sides == "two":
+        return math.erfc(abs(z) / math.sqrt(2.0))
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def p_value(z, sides="two"):
+    return math.exp(log_p_value(z, sides))
+
+
 class TestPValue:
     def test_z_zero(self):
         assert p_value(0.0) == 1.0
@@ -131,7 +144,10 @@ class TestPValue:
 
     def test_log_p_consistency(self):
         for z in (0.0, 0.5, 1.0, 3.0, 8.0, 20.0, 35.0):
-            assert math.exp(log_p_value(z)) == pytest.approx(p_value(z), rel=1e-10)
+            assert math.exp(log_p_value(z)) == pytest.approx(_erfc_p(z), rel=1e-10)
+        for z in (-3.0, 0.0, 3.0, 8.0):
+            assert math.exp(log_p_value(z, "one")) == pytest.approx(_erfc_p(z, "one"),
+                                                                    rel=1e-10)
 
     def test_log_p_no_underflow(self):
         lp = log_p_value(50.0)
@@ -150,3 +166,31 @@ def test_segment_stats_matches_scalar_ops():
     assert mean == pytest.approx(total / 83, rel=1e-9)
     assert z == pytest.approx(z_statistic(total, 83, noise), rel=1e-9)
     assert log_p == pytest.approx(log_p_value(z), rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=60),
+       background=st.floats(-3.0, 3.0).filter(lambda b: b != 0.0),
+       sigma=st.sampled_from([0.05, 1.0, 4.0]),
+       sides=st.sampled_from(["one", "two"]))
+# |z| far past 38, where the two-sided p underflows outside log space
+@example(values=[0.0] * 10 + [50.0] * 20 + [-50.0] * 20, background=1.0,
+         sigma=0.05, sides="two")
+@example(values=[0.0] * 10 + [50.0] * 20 + [-50.0] * 20, background=-1.0,
+         sigma=0.05, sides="one")
+def test_scan_rows_equal_scalar_kernels(values, background, sigma, sides):
+    # the batch path (scan) and the scalar path (segment_stats, ctx.stat)
+    # must agree bit for bit: refinement compares re-scored windows with
+    # scanned log p by strict <
+    profile = Profile(np.array(values))
+    ps = build_prefix_sums(profile)
+    noise = NoiseModel(sigma, background=background)
+    cfg = ScanConfig(w_max=40, p_s=1.0, sides=sides)
+    table = scan(profile, ps, noise, cfg)
+    ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
+    assert len(table) > 0
+    for i in range(len(table)):
+        start, end = int(table.start[i]), int(table.end[i])
+        _, z, log_p = segment_stats(ps, noise, start, end, sides)
+        seg = ctx.stat(start, end)
+        assert (table.z[i], table.log_p[i]) == (z, log_p) == (seg.z, seg.log_p)
