@@ -251,13 +251,16 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bench(args) -> int:
     suite_dir = Path(args.suite)
-    truth, _ = read_truth_manifest((suite_dir / "truth.tsv").read_bytes())
+    truth_path = suite_dir / "truth.tsv"
+    with _naming(truth_path):
+        truth, _ = read_truth_manifest(truth_path.read_bytes())
     rows = ["#profile_id\tn\tparse_seconds\tsegment_seconds"]
     total = 0.0
     for profile_id in sorted(truth):
         path = suite_dir / f"{profile_id}.txt"
         t0 = time.perf_counter()
-        profile = read_profile(path, format="plain")
+        with _naming(path):
+            profile = read_profile(path, format="plain")
         parse_seconds = time.perf_counter() - t0
         times = []
         for _ in range(args.repetitions):

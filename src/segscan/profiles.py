@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -118,9 +119,73 @@ def _parse_value(token: str, lineno: int) -> float:
     return value
 
 
+# fields per data row and the column holding the value; tsv and bedGraph rows
+# carry the label in column 0 and the position in column 1
+_LAYOUTS = {"plain": (1, 0), "tsv": (3, 2), "bedgraph": (4, 3)}
+_BLOCK_ROWS = 1024
+
+
 def parse_profile(source, format: str = "plain") -> Profile:
-    """Parse a text profile in ``plain``, ``tsv``, or ``bedgraph`` format."""
+    """Parse a text profile in ``plain``, ``tsv``, or ``bedgraph`` format.
+
+    The file is parsed in one bulk pass. Input the bulk pass does not cover
+    exactly (a skipped line past the leading header, a row with extra or
+    missing fields, a bad or non-finite number, mixed labels, no data) goes
+    to the line-by-line parser, which reports the offending line.
+    """
+    if format not in _LAYOUTS:
+        raise ValidationError(f"unknown profile format {format!r}")
     text = _decode(source)
+    profile = _parse_bulk(text, format)
+    return profile if profile is not None else _parse_lines(text, format)
+
+
+def _parse_bulk(text: str, format: str) -> Profile | None:
+    """Return the Profile ``_parse_lines`` would return, or None to defer to it."""
+    lines = text.splitlines()
+    first = 0
+    while first < len(lines) and _skip(lines[first]):
+        first += 1
+    if first == len(lines):
+        return None
+    body = lines[first:] if first else lines
+    if format == "plain":
+        # float() strips the whitespace line.strip() does and rejects every
+        # line _skip would skip, so this either matches the loop or raises
+        try:
+            values = np.fromiter(map(float, body), np.float64, len(body))
+        except ValueError:
+            return None
+        return Profile(values) if np.isfinite(values).all() else None
+    # Rows with exactly n_fields fields only: extra columns are legal but
+    # rare, and the loop handles them. A skipped line inside the body never
+    # gets through: it has a label other than the first row's, or a
+    # position int() rejects.
+    n_fields, value_col = _LAYOUTS[format]
+    if set(map(str.count, body, repeat("\t"))) != {n_fields - 1}:
+        return None
+    label = body[0].partition("\t")[0]
+    values = np.empty(len(body))
+    positions = np.empty(len(body), dtype=np.int64)
+    # split a bounded block of rows at a time: one str per field of the
+    # whole file would cost several times the file's size in memory
+    for lo in range(0, len(body), _BLOCK_ROWS):
+        fields = "\t".join(body[lo:lo + _BLOCK_ROWS]).split("\t")
+        if set(fields[0::n_fields]) != {label}:
+            return None
+        rows = slice(lo, lo + _BLOCK_ROWS)
+        try:
+            positions[rows] = list(map(int, fields[1::n_fields]))
+            values[rows] = list(map(float, fields[value_col::n_fields]))
+        except (ValueError, OverflowError):
+            return None
+    if not np.isfinite(values).all():
+        return None
+    return Profile(values, positions=positions, label=label)
+
+
+def _parse_lines(text: str, format: str) -> Profile:
+    """Parse line by line, raising at the first bad line with its number."""
     values: list[float] = []
     positions: list[int] = []
     label: str | None = None
@@ -137,13 +202,11 @@ def parse_profile(source, format: str = "plain") -> Profile:
                 raise ProfileParseError("expected 3 tab-separated columns (label, position, value)",
                                         line=lineno)
             row_label, pos_token, value_token = fields[0], fields[1], fields[2]
-        elif format == "bedgraph":
+        else:
             if len(fields) < 4:
                 raise ProfileParseError("expected 4 bedGraph columns (chrom, start, end, value)",
                                         line=lineno)
             row_label, pos_token, value_token = fields[0], fields[1], fields[3]
-        else:
-            raise ValidationError(f"unknown profile format {format!r}")
         if label is None:
             label = row_label
         elif row_label != label:

@@ -241,3 +241,19 @@ class TestEvaluateAndBench:
         per_profile = [float(line.split("\t")[-1]) for line in lines[1:-1]]
         # columns are printed with 6 decimals, so allow rounding slop
         assert total == pytest.approx(sum(per_profile), abs=1e-4)
+
+    def test_bench_bad_profile_names_the_file(self, suite_dir, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        for path in suite_dir.iterdir():
+            (suite / path.name).write_bytes(path.read_bytes())
+        bad = suite / "profile_03.txt"
+        bad.write_text("0.5\nNA\n0.25\n")
+        assert main(["bench", "--suite", str(suite), "--repetitions", "1"]) == 2
+        assert f"{bad}: line 2: malformed numeric field 'NA'" in capsys.readouterr().err
+
+    def test_bench_bad_manifest_names_the_file(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("# length=abc\n#profile_id\tstart\tend\tmu\n")
+        assert main(["bench", "--suite", str(tmp_path)]) == 2
+        assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err

@@ -6,10 +6,14 @@ import pytest
 from segscan import (DegenerateScaleError, PlantedSegment, Profile, ScanConfig,
                      SimSpec, benchmark_suite, positions_mask, score,
                      segment_profile, simulate, write_segments)
+from segscan.cli import main
 
 # sha256 over the short suite's output tables and refinement traces; see
 # test_golden_suite_bytes.
 GOLDEN_SHORT_SUITE_SHA256 = "5a22050aa4e99dcd11c96bdddd25a80fa2feecc78c9c75a5509d859cc982e126"
+# sha256 over `segscan segment` tables for one bedGraph and one tsv input; see
+# test_golden_positional_inputs_bytes.
+GOLDEN_POSITIONAL_SHA256 = "b271c9a1b9d31b87b88b4e579be872ab02a32e140e385474459e87380f82094c"
 
 
 def test_zero_profile_no_records():
@@ -95,3 +99,24 @@ def test_golden_suite_bytes():
         digest.update(write_segments(segment_profile(profile, trace=trace), profile))
         digest.update(repr(trace).encode())
     assert digest.hexdigest() == GOLDEN_SHORT_SUITE_SHA256
+
+
+def test_golden_positional_inputs_bytes(tmp_path):
+    # Pins `segscan segment` output for the two positional input formats
+    # (the suite above reaches the pipeline without parsing text). The
+    # bedGraph file opens with a track line and a comment; the tsv file has
+    # none. Values are written with repr(), so they parse back exactly.
+    profile, _ = benchmark_suite("short", snr=1.0, seed=3)[0]
+    values = profile.values.tolist()
+    bedgraph = tmp_path / "track.bedgraph"
+    bedgraph.write_text('track type=bedGraph name="golden"\n# bin 50 bp\n' + "".join(
+        f"chr7\t{50 * i}\t{50 * i + 50}\t{v!r}\n" for i, v in enumerate(values)))
+    tsv = tmp_path / "track.tsv"
+    tsv.write_text("".join(f"scaffold_2\t{1000 + 7 * i}\t{v!r}\n"
+                           for i, v in enumerate(values[::-1])))
+    digest = hashlib.sha256()
+    for path, fmt in ((bedgraph, "bedgraph"), (tsv, "tsv")):
+        out = tmp_path / f"{fmt}.segments.tsv"
+        assert main(["segment", str(path), "--format", fmt, "--output", str(out)]) == 0
+        digest.update(out.read_bytes())
+    assert digest.hexdigest() == GOLDEN_POSITIONAL_SHA256

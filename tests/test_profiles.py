@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from segscan import (NoiseModel, Profile, ProfileParseError, ScanConfig,
-                     SegmentRecord, ValidationError, parse_profile,
+                     SegmentRecord, SegscanError, ValidationError, parse_profile,
                      read_segments, write_segments)
+from segscan.profiles import _parse_lines
 from segscan.significance import SegmentationResult
 
 
@@ -71,6 +74,105 @@ class TestParseBedgraph:
     def test_one_value_per_interval_regardless_of_width(self):
         profile = parse_profile(b"c\t0\t1000000\t3.5\n", format="bedgraph")
         assert len(profile) == 1
+
+
+class TestUnknownFormat:
+    @pytest.mark.parametrize("data", [b"# x\n", b"1.0\n"])
+    def test_rejected_before_any_line_is_read(self, data):
+        with pytest.raises(ValidationError, match="unknown profile format 'bogus'"):
+            parse_profile(data, format="bogus")
+
+
+def _outcome(parse, text, fmt):
+    try:
+        profile = parse(text, fmt)
+    except (SegscanError, OverflowError) as exc:
+        return type(exc), str(exc)
+    positions = None if profile.positions is None else profile.positions.tolist()
+    return profile.values.tobytes(), positions, profile.label
+
+
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+_SKIPPED = ["", "   ", "# comment", "  #x\t1\t2\t3", "track type=bedGraph", "\t\t\t"]
+_VALUE_DEFECTS = {"nonfinite": ["nan", "inf", "-Infinity", "1e400"],
+                  "malformed": ["NA", "", "1_000", "+5", "0x1p3", "1,5"]}
+
+
+@st.composite
+def _profile_texts(draw):
+    fmt = draw(st.sampled_from(["plain", "tsv", "bedgraph"]))
+    n = draw(st.integers(1, 12))
+    values = [repr(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                             min_size=n, max_size=n))]
+    positions = np.cumsum(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))).tolist()
+    pad = st.sampled_from(["", " ", "  ", "\u00a0"])
+    # a clean text takes the bulk pass; a defect on some rows makes it defer
+    defect = draw(st.sampled_from([None, "nonfinite", "malformed", "fields", "label",
+                                   "position", "skipped"]))
+    hit = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))) if defect else ()
+    rows = []
+    for i, (value, pos) in enumerate(zip(values, positions)):
+        if defect in _VALUE_DEFECTS and i in hit:
+            value = draw(st.sampled_from(_VALUE_DEFECTS[defect]))
+        value = draw(pad) + value + draw(pad)
+        if fmt == "plain":
+            rows.append(value)
+            continue
+        fields = ["chr1", str(pos)] + ([str(pos + 50)] if fmt == "bedgraph" else []) + [value]
+        if i in hit and defect == "fields":
+            fields = fields + ["extra"] if draw(st.booleans()) else fields[:-1]
+        elif i in hit and defect == "label":
+            fields[0] = "chr2"
+        elif i in hit and defect == "position":
+            fields[1] = draw(st.sampled_from(["+5", "1_000", " 12", "x", "", str(2 ** 70)]))
+        rows.append("\t".join(fields))
+    if defect == "skipped":
+        for i in sorted(hit, reverse=True):
+            rows.insert(i + 1, draw(st.sampled_from(_SKIPPED)))
+    header = draw(st.lists(st.sampled_from(_SKIPPED), max_size=2))
+    text = "".join(line + draw(st.sampled_from(_SEPARATORS)) for line in header + rows)
+    return text[:-1] if draw(st.booleans()) else text, fmt
+
+
+class TestBulkParse:
+    # the bulk pass must return exactly what the line loop returns, or
+    # defer to it, so every error keeps its message and line number
+    @settings(max_examples=60, deadline=None)
+    @given(case=_profile_texts())
+    @example(case=("0.5\nnan\n-1.0\n", "plain"))
+    @example(case=("track x\nc\t0\t50\t0.5\nc\t50\t100\tinf\n", "bedgraph"))
+    # the tab total is right (4 on 2 rows) but row 2 is short
+    @example(case=("c\t1\t0.5\tc\n2\t0.75\n", "tsv"))
+    @example(case=("c\t0\t50\t0.5\t9\nc\t50\t0.25\n", "bedgraph"))
+    def test_matches_line_loop(self, case):
+        text, fmt = case
+        assert _outcome(parse_profile, text, fmt) == _outcome(_parse_lines, text, fmt)
+
+    # rows are split in blocks; a defect deep in a later block must still
+    # reach the line loop (the first case has no defect)
+    @pytest.mark.parametrize("row, line", [
+        (0, "chrX\t0\t10\t0.0"),
+        (2500, "chrY\t25000\t25010\t0.5"),
+        (2999, "chrX\t29990\t30000\tnan"),
+        (1500, "chrX\t15000\t0.5"),
+        (2048, "chrX\t20480\t20490\t0.5\tname"),
+        (1024, "chrX\t1e4\t10250\t0.5"),
+        (2047, ""),
+    ])
+    def test_late_block_defect_matches_line_loop(self, row, line):
+        rows = [f"chrX\t{10 * i}\t{10 * i + 10}\t{i / 7!r}" for i in range(3000)]
+        rows[row] = line
+        text = "track type=bedGraph\n" + "\n".join(rows) + "\n"
+        assert (_outcome(parse_profile, text, "bedgraph")
+                == _outcome(_parse_lines, text, "bedgraph"))
+
+    def test_late_error_keeps_its_line_number(self):
+        lines = ["0.5"] * 100_000
+        lines[73_411] = "NA"
+        with pytest.raises(ProfileParseError) as err:
+            parse_profile("\n".join(lines) + "\n")
+        assert str(err.value) == "line 73412: malformed numeric field 'NA'"
+        assert err.value.line == 73_412
 
 
 class TestProfileInvariants:
