@@ -54,7 +54,7 @@ class Profile:
             positions = np.asarray(self.positions, dtype=np.int64)
             if positions.shape != values.shape:
                 raise ValidationError("positions and values must have the same length")
-            if positions.size > 1 and not np.all(np.diff(positions) > 0):
+            if not (positions[1:] > positions[:-1]).all():
                 raise ValidationError("positions must be strictly increasing")
             positions = positions.copy() if positions.flags.writeable else positions
             positions.flags.writeable = False
@@ -184,6 +184,9 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
     return Profile(values, positions=positions, label=label)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def _parse_lines(text: str, format: str) -> Profile:
     """Parse line by line, raising at the first bad line with its number."""
     values: list[float] = []
@@ -214,9 +217,13 @@ def _parse_lines(text: str, format: str) -> Profile:
                 f"multiple labels in one file ({label!r} then {row_label!r}); "
                 "segment one profile at a time", line=lineno)
         try:
-            positions.append(int(pos_token))
+            position = int(pos_token)
         except ValueError:
             raise ProfileParseError(f"malformed position field {pos_token!r}", line=lineno) from None
+        if not _INT64.min <= position <= _INT64.max:
+            raise ProfileParseError(f"position {pos_token!r} does not fit a 64-bit integer",
+                                    line=lineno)
+        positions.append(position)
         values.append(_parse_value(value_token, lineno))
 
     if not values:

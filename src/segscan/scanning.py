@@ -12,12 +12,12 @@ run.
 Every window whose tail probability is at or below the retention threshold
 p_s becomes a candidate. The scan keeps candidates as the numpy columns of a
 CandidateTable, never as one Python object per window: at each scale it
-computes z for every window, drops windows whose |z| (z for the one-sided
-test) is below a slightly loose bound derived from p_s, and runs the exact
-log p-value test only on the survivors, so that test alone decides
-membership. Rows order by (log_p ascending, length descending, start
-ascending), set by one lexsort; the secondary keys make runs reproducible
-when p-values tie.
+computes z for every window and drops windows whose |z| (z for the one-sided
+test) is below a slightly loose bound derived from p_s; the exact log
+p-value test then runs once over the survivors of all scales, so that test
+alone decides membership. Rows order by (log_p ascending, length
+descending, start ascending), set by one lexsort; the secondary keys make
+runs reproducible when p-values tie.
 """
 
 from __future__ import annotations
@@ -216,11 +216,11 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
             counter.add(starts.size)
         z = z_statistic_batch(cum[starts + w] - cum[starts], w, noise)
         near = np.flatnonzero((np.abs(z) if cfg.sides == "two" else z) >= cut)
-        log_p = log_p_value_batch(z[near], cfg.sides)
-        keep = log_p <= log_ps_max
-        hit = near[keep]
-        found.append((starts[hit], starts[hit] + w, z[hit], log_p[keep]))
-    return CandidateTable._sorted(*(np.concatenate(column) for column in zip(*found)))
+        found.append((starts[near], starts[near] + w, z[near]))
+    start, end, z = (np.concatenate(column) for column in zip(*found))
+    log_p = log_p_value_batch(z, cfg.sides)
+    keep = np.flatnonzero(log_p <= log_ps_max)
+    return CandidateTable._sorted(start[keep], end[keep], z[keep], log_p[keep])
 
 
 def predicted_op_counts(n: int, cfg: ScanConfig) -> tuple[int, int]:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import segscan
 from segscan import cli
 from segscan.cli import main
 from segscan.profiles import read_segments
@@ -97,6 +102,12 @@ class TestSegment:
         bad.write_text("1.0\n2.0\nNA\n")
         assert main(["segment", str(bad)]) == 2
         assert f"{bad}: line 3: malformed numeric field 'NA'" in capsys.readouterr().err
+
+    def test_position_beyond_int64_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "big.tsv"
+        bad.write_text("c\t1\t0.25\nc\t99999999999999999999\t0.5\n")
+        assert main(["segment", str(bad), "--format", "tsv"]) == 2
+        assert f"{bad}: line 2: position '99999999999999999999'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_input_keeps_good_tables(self, tmp_path, capsys, jobs):
@@ -257,3 +268,13 @@ class TestEvaluateAndBench:
         truth.write_text("# length=abc\n#profile_id\tstart\tend\tmu\n")
         assert main(["bench", "--suite", str(tmp_path)]) == 2
         assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy.special once took most of every CLI process's start-up; nothing
+    # the program imports may bring it back
+    code = "import sys, segscan.cli; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(segscan.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

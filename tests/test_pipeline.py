@@ -10,7 +10,11 @@ from segscan.cli import main
 
 # sha256 over the short suite's output tables and refinement traces; see
 # test_golden_suite_bytes.
-GOLDEN_SHORT_SUITE_SHA256 = "5a22050aa4e99dcd11c96bdddd25a80fa2feecc78c9c75a5509d859cc982e126"
+GOLDEN_SHORT_SUITE_SHA256 = "ad9c58e195f87ae69deb94c7be07e907d09b1cb4056d923be908b95b5005de99"
+# sha256 over the short suite's output tables and the (op, start, end, z) of
+# every accepted refinement move; see test_golden_suite_decisions.
+GOLDEN_SHORT_SUITE_DECISIONS_SHA256 = (
+    "f91c36a3eee256af1c9220f14dbe0d1cc7459d8a405b558ec58cb126a9202ce4")
 # sha256 over `segscan segment` tables for one bedGraph and one tsv input; see
 # test_golden_positional_inputs_bytes.
 GOLDEN_POSITIONAL_SHA256 = "b271c9a1b9d31b87b88b4e579be872ab02a32e140e385474459e87380f82094c"
@@ -91,14 +95,29 @@ def test_golden_suite_bytes():
     # Pins the exact bytes of every output table and the repr of every
     # refinement trace on the canonical short suite, so refactors that must
     # not change behaviour are checked byte for byte. The digest depends on
-    # numpy's generator streams and on scipy's log_ndtr; a change in either
-    # library can move it without any change here.
+    # numpy's generator streams and on the low bits of every log p, which
+    # come from stats.py's tail kernel and numpy's log, exp and log1p; a
+    # change to either can move it while test_golden_suite_decisions holds.
     digest = hashlib.sha256()
     for profile, _ in benchmark_suite("short", snr=1.0, seed=0):
         trace = []
         digest.update(write_segments(segment_profile(profile, trace=trace), profile))
         digest.update(repr(trace).encode())
     assert digest.hexdigest() == GOLDEN_SHORT_SUITE_SHA256
+
+
+def test_golden_suite_decisions():
+    # Pins what the pipeline decides on the canonical short suite: the
+    # output tables and, for every accepted move, its kind, the resulting
+    # interval and its z. z comes from prefix sums alone, so unlike the
+    # digest above this one does not read the low bits of any log p.
+    digest = hashlib.sha256()
+    for profile, _ in benchmark_suite("short", snr=1.0, seed=0):
+        trace = []
+        digest.update(write_segments(segment_profile(profile, trace=trace), profile))
+        digest.update(repr([(op, after.start, after.end, after.z)
+                            for op, _, after in trace]).encode())
+    assert digest.hexdigest() == GOLDEN_SHORT_SUITE_DECISIONS_SHA256
 
 
 def test_golden_positional_inputs_bytes(tmp_path):

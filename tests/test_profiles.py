@@ -62,6 +62,22 @@ class TestParseTsv:
             parse_profile(b"chr1\t100\n", format="tsv")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("fmt, row", [
+        ("tsv", "c\t99999999999999999999\t0.5"),
+        ("tsv", "c\t-9223372036854775809\t0.5"),
+        ("bedgraph", "c\t9223372036854775808\t9223372036854775809\t0.5"),
+    ])
+    def test_position_beyond_int64_names_its_line(self, fmt, row):
+        first = "c\t-5\t0.25" if fmt == "tsv" else "c\t-5\t0\t0.25"
+        with pytest.raises(ProfileParseError, match="64-bit") as err:
+            parse_profile(f"{first}\n{row}\n".encode(), format=fmt)
+        assert err.value.line == 2
+
+    def test_int64_extremes_accepted(self):
+        profile = parse_profile(b"c\t-9223372036854775808\t0.5\nc\t9223372036854775807\t1.5\n",
+                                format="tsv")
+        assert profile.positions.tolist() == [-2**63, 2**63 - 1]
+
 
 class TestParseBedgraph:
     def test_basic(self):
@@ -86,7 +102,7 @@ class TestUnknownFormat:
 def _outcome(parse, text, fmt):
     try:
         profile = parse(text, fmt)
-    except (SegscanError, OverflowError) as exc:
+    except SegscanError as exc:
         return type(exc), str(exc)
     positions = None if profile.positions is None else profile.positions.tolist()
     return profile.values.tobytes(), positions, profile.label

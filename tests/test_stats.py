@@ -1,15 +1,18 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import log_ndtr
 
 from segscan import (DegenerateScaleError, NoiseModel, Profile, RefineContext,
                      ScanConfig, SimSpec, ValidationError, build_prefix_sums,
                      estimate_sigma_mad, log_p_value, scan, simulate, z_statistic)
-from segscan.stats import OpCounter, log_p_value_batch, segment_stats
+from segscan.stats import (_A_MAX, _NODES_PER_UNIT, LOG_TWO, OpCounter, log_p_value_batch,
+                           segment_stats, z_cut)
 
 
 class TestPrefixSums:
@@ -105,7 +108,7 @@ class TestZStatistic:
 
 
 def _erfc_p(z, sides="two"):
-    # reference tail probability through erfc, independent of log_ndtr
+    # reference tail probability through erfc, independent of the kernel
     if sides == "two":
         return math.erfc(abs(z) / math.sqrt(2.0))
     return 0.5 * math.erfc(z / math.sqrt(2.0))
@@ -153,6 +156,127 @@ class TestPValue:
         lp = log_p_value(50.0)
         assert math.isfinite(lp)
         assert lp < -1000.0
+
+
+def _ulps(x, y):
+    # distance in representable doubles; +0.0 and -0.0 are the same point
+    def rank(v):
+        bits = int(np.float64(v).view(np.int64))
+        return bits if bits >= 0 else -(bits & (2**63 - 1))
+    return abs(rank(x) - rank(y))
+
+
+def _mp_log_p_one_sided(z):
+    # 50-digit reference for log Phi(-z); z < 0 goes through log1p, since
+    # 1 - Phi(z) rounds to 1 at 50 digits once z < -15
+    with mpmath.workdps(50):
+        z = mpmath.mpf(z)
+        if z >= 0:
+            return float(mpmath.log(mpmath.ncdf(-z)))
+        return float(mpmath.log1p(-mpmath.ncdf(z)))
+
+
+_NODES = np.arange(round(_A_MAX * _NODES_PER_UNIT) + 1) / _NODES_PER_UNIT
+# where the nearest node changes
+_MIDPOINTS = (_NODES[1:] + _NODES[:-1]) / 2
+# the table's edges and its first and last pieces
+_NODE_EDGES = [0.0, 5e-324, _MIDPOINTS[0], _NODES[1], _MIDPOINTS[-1], _A_MAX,
+               math.nextafter(_A_MAX, math.inf)]
+
+
+class TestTailKernel:
+    """The in-repo log Phi(-a) kernel behind log_p_value and log_p_value_batch."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 1e4),
+                       st.sampled_from(_MIDPOINTS.tolist()), st.sampled_from(_NODE_EDGES)),
+           step=st.sampled_from([-1, 0, 1]))
+    @example(a=1e4, step=0)
+    @example(a=37.0, step=1)
+    def test_log_phi_within_8_ulp_of_scipy_and_mpmath(self, a, step):
+        if step:
+            a = math.nextafter(a, math.inf * step)
+        if a < 0.0:
+            return
+        got = log_p_value(a, "one")  # log Phi(-a), what log_ndtr(-a) gives
+        assert _ulps(got, float(log_ndtr(-a))) <= 8
+        assert _ulps(got, _mp_log_p_one_sided(a)) <= 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(z=st.one_of(st.floats(-40.0, 0.0), st.sampled_from((-_MIDPOINTS).tolist())))
+    @example(z=-40.0)
+    @example(z=-37.0)
+    @example(z=-37.5)
+    @example(z=-38.2)
+    def test_one_sided_negative_z_within_8_ulp_of_mpmath(self, z):
+        # log p = log(1 - Phi(z)) here. scipy's log_ndtr drifts past 8 ulp
+        # on positive arguments above about 3, so only mpmath is the judge.
+        assert _ulps(log_p_value(z, "one"), _mp_log_p_one_sided(z)) <= 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(z=st.floats(-1e4, 1e4))
+    @example(z=0.0)
+    @example(z=-0.0)
+    def test_two_sided_is_log_two_plus_log_phi(self, z):
+        assert log_p_value(z).hex() == (LOG_TWO + log_p_value(abs(z), "one")).hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(zs=st.lists(st.one_of(st.floats(-1e4, 1e4), st.floats(-40.0, 40.0),
+                                 st.sampled_from(_NODE_EDGES + [-x for x in _NODE_EDGES]),
+                                 st.sampled_from([1e200, -1e200, math.inf, -math.inf])),
+                       min_size=1, max_size=20),
+           sides=st.sampled_from(["one", "two"]))
+    @example(zs=[37.5, -37.5, 38.3, -38.3, 1e4, -1e4, 0.0, -0.0], sides="one")
+    def test_scalar_equals_batch_bit_for_bit(self, zs, sides):
+        batch = log_p_value_batch(np.array(zs), sides)
+        for z, b in zip(zs, batch.tolist()):
+            assert log_p_value(z, sides).hex() == b.hex() == log_p_value_batch([z], sides)[0].hex()
+
+    @pytest.mark.parametrize("sides", ["two", "one"])
+    def test_scalar_equals_batch_on_every_piece(self, sides):
+        # every node and midpoint, both signs: a few pieces carry a tilt
+        # (stats._tilt_to_monotone) that random draws seldom reach
+        zs = np.concatenate([_NODES, _MIDPOINTS, -_NODES, -_MIDPOINTS])
+        batch = log_p_value_batch(zs, sides).tolist()
+        assert [log_p_value(z, sides).hex() for z in zs.tolist()] == [b.hex() for b in batch]
+
+    @pytest.mark.parametrize("sides", ["two", "one"])
+    def test_non_increasing_across_node_boundaries(self, sides):
+        centres = np.concatenate([_MIDPOINTS, _NODES])
+        around = [centres]
+        for _ in range(4):
+            around.insert(0, np.nextafter(around[0], 0.0))
+            around.append(np.nextafter(around[-1], 1e3))
+        grid = np.stack(around, axis=1)
+        log_p = log_p_value_batch(grid.ravel(), sides).reshape(grid.shape)
+        assert (np.diff(log_p, axis=1) <= 0.0).all()
+
+    def test_zero_gives_p_one_exactly(self):
+        assert log_p_value(0.0) == 0.0
+        assert log_p_value(-0.0) == 0.0
+        assert log_p_value_batch([0.0, -0.0]).tolist() == [0.0, 0.0]
+
+    def test_nan_propagates(self):
+        for sides in ("one", "two"):
+            assert math.isnan(log_p_value(math.nan, sides))
+            assert np.isnan(log_p_value_batch([math.nan, -1.0], sides)[0])
+
+
+@pytest.mark.parametrize("sides, p_s", [("two", 0.5), ("two", 1e-3), ("two", 1e-300),
+                                         ("two", 5e-324), ("one", 0.9), ("one", 0.6),
+                                         ("one", 0.5), ("one", 1e-3), ("one", 5e-324)])
+def test_z_cut_is_tight(sides, p_s):
+    # the cut is the least passing z loosened by a relative 1e-6: the cut
+    # itself fails the exact test, a z 2e-6 (relative) above it passes
+    log_p_max = math.log(p_s)
+    cut = z_cut(log_p_max, sides)
+    assert log_p_value(cut, sides) > log_p_max
+    assert log_p_value(cut + 2e-6 * (1.0 + abs(cut)), sides) <= log_p_max
+
+
+def test_z_cut_at_p_one():
+    assert z_cut(0.0, "one") == -math.inf
+    assert z_cut(0.0, "two") == -1e-6
 
 
 def test_segment_stats_matches_scalar_ops():
