@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--truth", required=True, help="ground-truth manifest (truth.tsv)")
     ev.add_argument("--pred-dir", required=True,
                     help="directory holding <profile_id>.segments.tsv tables")
-    ev.add_argument("--length", type=int, default=None,
+    ev.add_argument("--length", type=_positive_int, default=None,
                     help="profile length; defaults to the manifest's length header")
     ev.add_argument("--output", default=None, help="report file (default stdout)")
 

@@ -159,6 +159,9 @@ def read_truth_manifest(source) -> tuple[dict[str, list[PlantedSegment]], int | 
                 except ValueError:
                     raise ProfileParseError(f"malformed length header {stripped!r}",
                                             line=lineno) from None
+                if length < 1:
+                    raise ProfileParseError(f"length header {stripped!r} is below 1",
+                                            line=lineno)
             continue
         fields = stripped.split("\t")
         if len(fields) != 4:

@@ -130,7 +130,8 @@ def z_statistic(total: float, n: int, noise: NoiseModel) -> float:
     return (total / n - noise.background) * math.sqrt(n) / noise.sigma
 
 
-def z_statistic_batch(sums: np.ndarray, n: int, noise: NoiseModel) -> np.ndarray:
+def z_statistic_batch(sums: np.ndarray, n: int | np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """z_statistic over arrays of sums, with one length or one per sum."""
     # Must mirror z_statistic operation for operation so scalar
     # recomputation reproduces scanned values bit for bit.
     return (sums / n - noise.background) * np.sqrt(n) / noise.sigma

@@ -232,6 +232,23 @@ class TestEvaluateAndBench:
         assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
         assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_evaluate_nonpositive_length_flag_is_usage_error(self, tmp_path, capsys, length):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("#profile_id\tstart\tend\tmu\np\t0\t5\t1.0\n")
+        (tmp_path / "p.segments.tsv").write_text(".\t0\t5\t1.0\t2.0\t0.01\t1\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path),
+                     "--length", length]) == 1
+        assert "--length: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("length", ["0", "-5"])
+    def test_evaluate_nonpositive_length_header_is_data_error(self, tmp_path, capsys, length):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text(f"#profile_id\tstart\tend\tmu\n# length={length}\np\t0\t5\t1.0\n")
+        (tmp_path / "p.segments.tsv").write_text(".\t0\t5\t1.0\t2.0\t0.01\t1\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
+        assert f"{truth}: line 2: length header" in capsys.readouterr().err
+
     def test_evaluate_bad_prediction_table_names_the_file(self, tmp_path, capsys):
         truth = tmp_path / "truth.tsv"
         truth.write_text("# length=10\n#profile_id\tstart\tend\tmu\np\t0\t5\t1.0\n")

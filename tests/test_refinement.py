@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segscan import (NoiseModel, Profile, RefineContext, ScanConfig,
                      build_prefix_sums, merge_adjacent, move_boundary,
-                     refine_all, select_nonoverlapping)
+                     refine_all, refinement, scan, select_nonoverlapping)
+
+#: GAP_BATCH_MIN settings that send every non-empty gap search through the
+#: batch kernels, or every one through the scalar loop.
+ALL_BATCHED, ALL_SCALAR = 1, 10**9
 
 
 def _context(values, k_refine=10, committed=(), trace=None):
@@ -58,13 +64,15 @@ def _tie_case(op):
 
 
 @pytest.mark.parametrize("op", ["expand_left", "expand_right", "shrink_left", "shrink_right"])
-def test_gap_search_tie_keeps_longer_segment(op):
+def test_gap_search_tie_keeps_longer_segment(op, monkeypatch):
     values, seg, longer, shorter = _tie_case(op)
     ctx = _context(values, k_refine=2)
     assert ctx.stat(*longer).log_p == ctx.stat(*shorter).log_p
     assert ctx.stat(*longer).log_p < ctx.stat(*seg).log_p
-    refined = move_boundary(ctx, ctx.stat(*seg), op)
-    assert refined.interval == longer
+    for gap_batch_min in (ALL_BATCHED, ALL_SCALAR):
+        monkeypatch.setattr(refinement, "GAP_BATCH_MIN", gap_batch_min)
+        refined = move_boundary(ctx, ctx.stat(*seg), op)
+        assert refined.interval == longer, gap_batch_min
 
 
 class TestExpandLeft:
@@ -161,7 +169,6 @@ class TestReversalSymmetry:
         ps = build_prefix_sums(profile)
         noise = NoiseModel(1.0)
         cfg = ScanConfig(w_max=100)
-        from segscan import scan
         selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
         assert len(selected) >= 3
         ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
@@ -206,7 +213,6 @@ class TestRefineAll:
         ps = build_prefix_sums(profile)
         noise = NoiseModel(1.0)
         cfg = ScanConfig()
-        from segscan import scan
         selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
         assert len(selected) >= 5
         ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
@@ -264,7 +270,6 @@ class TestMerge:
         ps = build_prefix_sums(profile)
         noise = NoiseModel(1.0)
         cfg = ScanConfig()
-        from segscan import scan
         selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
         ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
         for seg in selected:
@@ -285,3 +290,64 @@ class TestMerge:
             left, right = before
             assert after.log_p < left.log_p
             assert after.log_p < right.log_p
+
+
+def _refined(values, cfg, gap_batch_min):
+    """repr of refine_all's trace, result and boundary set at one batch setting."""
+    profile = Profile(values)
+    ps = build_prefix_sums(profile)
+    noise = NoiseModel(1.0, cfg.background)
+    selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
+    trace = []
+    ctx = RefineContext(ps=ps, noise=noise, cfg=cfg, trace=trace)
+    for seg in selected:
+        ctx.boundaries.insert(seg.start, seg.end)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refinement, "GAP_BATCH_MIN", gap_batch_min)
+        refined = refine_all(ctx, selected)
+    return repr((trace, refined, ctx.boundaries.intervals()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 400),
+       blocks=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 120),
+                                 st.floats(-3.0, 3.0)), max_size=5),
+       sides=st.sampled_from(["two", "one"]), background=st.sampled_from([0.0, 0.4, -0.7]),
+       k_refine=st.sampled_from([2, 3, 10]))
+def test_batched_gap_search_matches_scalar(seed, n, blocks, sides, background, k_refine):
+    # every accepted move, its z and log p bits, and the refined segments
+    # must be the same whether gaps are searched in batches or one by one
+    values = np.random.default_rng(seed).normal(background, 1.0, size=n)
+    for where, length, height in blocks:
+        start = int(where * (n - 1))
+        values[start:start + length] += height
+    cfg = ScanConfig(w_max=min(n, 150), p_s=0.05, k_refine=k_refine, background=background,
+                     sides=sides)
+    assert _refined(values, cfg, ALL_BATCHED) == _refined(values, cfg, ALL_SCALAR)
+
+
+class TestQuietMoveStop:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(ctx, seg, op):
+            calls.append(op)
+            return move_boundary(ctx, seg, op)
+
+        monkeypatch.setattr(refinement, "move_boundary", counted)
+        return calls
+
+    def test_optimal_segment_makes_four_moves(self, calls):
+        ctx = _context(_block_profile(40, 10, 30, 3.0))
+        seg = ctx.stat(10, 30)
+        assert refinement.refine_segment(ctx, seg) == seg
+        assert calls == ["expand_left", "expand_right", "shrink_left", "shrink_right"]
+
+    def test_first_move_change_then_four_quiet_moves(self, calls):
+        # expand_left recovers the planted start; the next four moves find
+        # nothing, where a second full pass would have made eight calls
+        ctx = _context(_block_profile(40, 10, 30, 3.0))
+        assert refinement.refine_segment(ctx, ctx.stat(14, 30)).interval == (10, 30)
+        assert calls == ["expand_left", "expand_right", "shrink_left", "shrink_right",
+                         "expand_left"]

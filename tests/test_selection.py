@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from segscan import (BoundarySet, Candidate, CandidateTable, ValidationError,
-                     select_nonoverlapping)
+                     greedy_disjoint, select_nonoverlapping, selection)
 
 
 def _cand(start, end, p):
@@ -130,3 +132,37 @@ class TestSelect:
             if not overlaps:
                 assert cand.interval in chosen
                 committed.append(cand.interval)
+
+
+@st.composite
+def _pools(draw):
+    """Distinct intervals on a short axis, with nested and touching partners.
+
+    log p comes from a set of four values, so many rows tie and the length
+    and start tie-breaks decide; nesting and touching are added explicitly
+    rather than left to chance.
+    """
+    n = draw(st.integers(2, 40))
+    log_p = st.sampled_from([-40.0, -20.5, -9.0, -7.25])
+    pool = {}
+    for _ in range(draw(st.integers(0, 30))):
+        start = draw(st.integers(0, n - 1))
+        end = draw(st.integers(start + 1, n))
+        pool[(start, end)] = draw(log_p)
+        if end - start > 2 and draw(st.booleans()):
+            pool[(start + 1, end - 1)] = draw(log_p)
+        if end < n and draw(st.booleans()):
+            pool[(end, draw(st.integers(end + 1, n)))] = draw(log_p)
+    return [Candidate(s, e, 1.0, lp) for (s, e), lp in pool.items()]
+
+
+@pytest.mark.parametrize("block_rows", [1, 3])
+@settings(max_examples=150, deadline=None)
+@given(pool=_pools())
+def test_blocked_select_matches_greedy_oracle(block_rows, pool):
+    # blocks of a few rows make every example span many blocks, so the
+    # prefilter against earlier blocks decides most rejections
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selection, "BLOCK_ROWS", block_rows)
+        got = select_nonoverlapping(CandidateTable.from_candidates(pool))
+    assert got == greedy_disjoint(pool)
