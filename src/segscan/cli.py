@@ -17,7 +17,7 @@ import traceback
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from functools import partial
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import SegscanError
@@ -48,32 +48,34 @@ def _positive_int(text):
     return value
 
 
+#: (flag, ScanConfig field, type, help); every default is the field's
+_SCAN_FLAGS = (
+    ("--wmin", "w_min", int, "minimum window length"),
+    ("--wmax", "w_max", int, "maximum window length"),
+    ("--rho", "rho", float, "window length growth factor"),
+    ("--ps", "p_s", float, "candidate retention p-value threshold"),
+    ("--alpha", "alpha", float, "false discovery rate for BH"),
+    ("--pb", "p_b", float, "biological cutoff on |mean - background|, off when None"),
+    ("--k-refine", "k_refine", int, "refinement step divisor K"),
+    ("--background", "background", float, "baseline level tested against"),
+)
+
+
 def _add_scan_flags(parser):
     group = parser.add_argument_group("scan parameters")
-    group.add_argument("--wmin", type=int, default=1, help="minimum window length (default 1)")
-    group.add_argument("--wmax", type=int, default=300, help="maximum window length (default 300)")
-    group.add_argument("--rho", type=float, default=1.1,
-                       help="window length growth factor (default 1.1)")
-    group.add_argument("--ps", type=float, default=1e-3,
-                       help="candidate retention p-value threshold (default 0.001)")
-    group.add_argument("--alpha", type=float, default=0.01,
-                       help="false discovery rate for BH (default 0.01)")
-    group.add_argument("--pb", type=float, default=None,
-                       help="biological cutoff on |mean - background| (default off)")
-    group.add_argument("--k-refine", type=int, default=10, dest="k_refine",
-                       help="refinement step divisor K (default 10)")
-    group.add_argument("--background", type=float, default=0.0,
-                       help="baseline level tested against (default 0)")
+    for flag, dest, kind, text in _SCAN_FLAGS:
+        group.add_argument(flag, dest=dest, type=kind, metavar=flag[2:].upper().replace("-", "_"),
+                           help=text + " (default %(default)s)")
     group.add_argument("--sigma", type=float, default=None,
                        help="known noise scale; overrides MAD estimation")
-    group.add_argument("--sides", choices=("two", "one"), default="two",
-                       help="two-sided or one-sided (above background) test")
+    group.add_argument("--sides", choices=("two", "one"),
+                       help="two-sided or one-sided (above background) test "
+                            "(default %(default)s)")
+    parser.set_defaults(**asdict(ScanConfig()))
 
 
 def _config_from(args) -> ScanConfig:
-    return ScanConfig(w_min=args.wmin, w_max=args.wmax, rho=args.rho, p_s=args.ps,
-                      alpha=args.alpha, p_b=args.pb, k_refine=args.k_refine,
-                      background=args.background, sides=args.sides)
+    return ScanConfig(**{f.name: getattr(args, f.name) for f in fields(ScanConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -120,7 +122,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+def _emit(data: bytes, output) -> None:
+    """Write ``data`` to stdout, or atomically to the file ``output``."""
+    if output is None:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+        return
+    path = Path(output)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as handle:
@@ -143,16 +151,13 @@ def _naming(path) -> Iterator[None]:
 
 
 def _segment_one(path_str: str, fmt: str, cfg: ScanConfig, sigma: float | None,
-                 out_format: str) -> bytes:
-    with _naming(path_str):
-        profile = read_profile(path_str, format=fmt)
-        result = segment_profile(profile, cfg, sigma=sigma)
-    return write_segments(result, profile, format=out_format)
-
-
-def _outcome(table_of) -> bytes | SegscanError:
+                 out_format: str) -> bytes | SegscanError:
+    """The table of one input, or the data error that stopped it."""
     try:
-        return table_of()
+        with _naming(path_str):
+            profile = read_profile(path_str, format=fmt)
+            result = segment_profile(profile, cfg, sigma=sigma)
+        return write_segments(result, profile, format=out_format)
     except SegscanError as exc:
         return exc
 
@@ -160,44 +165,39 @@ def _outcome(table_of) -> bytes | SegscanError:
 def _cmd_segment(args) -> int:
     cfg = _config_from(args)
     inputs = [Path(p) for p in args.inputs]
-    suffix = ".segments.tsv" if args.out_format == "tsv" else ".segments.bed"
     if len(inputs) == 1:
-        table = _segment_one(str(inputs[0]), args.format, cfg, args.sigma, args.out_format)
-        if args.output is None:
-            sys.stdout.buffer.write(table)
-            sys.stdout.buffer.flush()
-        else:
-            _atomic_write(Path(args.output), table)
-        return EXIT_OK
-    if args.output is None:
+        targets = [args.output]
+    elif args.output is None:
         print("segscan segment: error: --output DIRECTORY is required with "
               "multiple inputs", file=sys.stderr)
         return EXIT_USAGE
-    written_from: dict[str, Path] = {}
-    for path in inputs:
-        name = path.stem + suffix
-        if name in written_from:
-            print(f"segscan segment: error: {written_from[name]} and {path} would both "
-                  f"be written to {name}", file=sys.stderr)
-            return EXIT_USAGE
-        written_from[name] = path
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    work = [(str(p), args.format, cfg, args.sigma, args.out_format) for p in inputs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(inputs))) as pool:
-            futures = [pool.submit(_segment_one, *item) for item in work]
-            outcomes = [_outcome(future.result) for future in futures]
     else:
-        outcomes = [_outcome(partial(_segment_one, *item)) for item in work]
+        suffix = ".segments.tsv" if args.out_format == "tsv" else ".segments.bed"
+        targets = [Path(args.output) / (path.stem + suffix) for path in inputs]
+        written_from: dict[Path, Path] = {}
+        for path, target in zip(inputs, targets):
+            if target in written_from:
+                print(f"segscan segment: error: {written_from[target]} and {path} would "
+                      f"both be written to {target.name}", file=sys.stderr)
+                return EXIT_USAGE
+            written_from[target] = path
+        Path(args.output).mkdir(parents=True, exist_ok=True)
+    work = [(str(p), args.format, cfg, args.sigma, args.out_format) for p in inputs]
+    workers = min(args.jobs, len(inputs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_segment_one, *item) for item in work]
+            outcomes = [future.result() for future in futures]
+    else:
+        outcomes = [_segment_one(*item) for item in work]
     # one bad profile must not hide the results of the others
     failed = 0
-    for path, outcome in zip(inputs, outcomes):
+    for outcome, target in zip(outcomes, targets):
         if isinstance(outcome, SegscanError):
             print(f"segscan: error: {outcome}", file=sys.stderr)
             failed += 1
         else:
-            _atomic_write(out_dir / (path.stem + suffix), outcome)
+            _emit(outcome, target)
     return EXIT_DATA if failed else EXIT_OK
 
 
@@ -231,8 +231,10 @@ def _cmd_evaluate(args) -> int:
             raise SegscanError(f"missing prediction table {pred_path}")
         with _naming(pred_path):
             records = read_segments(pred_path.read_bytes())
-        predicted = [r for r in records if r.significant]
-        report = score(positions_mask(predicted, length), positions_mask(truth[profile_id], length))
+            predicted = positions_mask([r for r in records if r.significant], length)
+        with _naming(args.truth):
+            planted = positions_mask(truth[profile_id], length)
+        report = score(predicted, planted)
         reports.append(report)
         lines.append(f"{profile_id}\t{report.tp}\t{report.fp}\t{report.fn}\t"
                      f"{report.precision:.6f}\t{report.recall:.6f}\t{report.f1:.6f}")
@@ -241,11 +243,7 @@ def _cmd_evaluate(args) -> int:
         statistics.fmean(r.precision for r in reports) if reports else 0.0,
         statistics.fmean(r.recall for r in reports) if reports else 0.0,
         statistics.fmean(r.f1 for r in reports) if reports else 0.0))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    if args.output is None:
-        sys.stdout.buffer.write(data)
-    else:
-        _atomic_write(Path(args.output), data)
+    _emit(("\n".join(lines) + "\n").encode("utf-8"), args.output)
     return EXIT_OK
 
 
@@ -271,11 +269,7 @@ def _cmd_bench(args) -> int:
         total += seconds
         rows.append(f"{profile_id}\t{len(profile)}\t{parse_seconds:.6f}\t{seconds:.6f}")
     rows.append(f"TOTAL\t-\t-\t{total:.6f}")
-    data = ("\n".join(rows) + "\n").encode("utf-8")
-    if args.output is None:
-        sys.stdout.buffer.write(data)
-    else:
-        _atomic_write(Path(args.output), data)
+    _emit(("\n".join(rows) + "\n").encode("utf-8"), args.output)
     return EXIT_OK
 
 
@@ -297,10 +291,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SegscanError as exc:
-        print(f"segscan: error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (SegscanError, OSError) as exc:
         print(f"segscan: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception:

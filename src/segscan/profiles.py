@@ -199,7 +199,7 @@ def _parse_lines(text: str, format: str) -> Profile:
         if format == "plain":
             values.append(_parse_value(line.strip(), lineno))
             continue
-        fields = line.rstrip("\n").split("\t")
+        fields = line.split("\t")
         if format == "tsv":
             if len(fields) < 3:
                 raise ProfileParseError("expected 3 tab-separated columns (label, position, value)",
@@ -281,20 +281,20 @@ def read_segments(source) -> list[SegmentRecord]:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        fields = line.rstrip("\n").split("\t")
+        fields = line.split("\t")
         if len(fields) != len(OUTPUT_COLUMNS):
             raise ProfileParseError(f"expected {len(OUTPUT_COLUMNS)} columns, got {len(fields)}",
                                     line=lineno)
         try:
             start, end = int(fields[1]), int(fields[2])
             mean, z, p = float(fields[3]), float(fields[4]), float(fields[5])
-        except ValueError as exc:
+            if not (0.0 <= p <= 1.0):
+                raise ValueError(f"p_value {p} outside [0, 1]")
+            significant = fields[6].strip() in ("1", "True", "true")
+            records.append(SegmentRecord(start=start, end=end, mean=mean, z=z,
+                                         log_p=math.log(p) if p > 0 else -math.inf,
+                                         significant=significant))
+        except (ValueError, ValidationError) as exc:
             raise ProfileParseError(str(exc), line=lineno) from None
-        if not (0.0 <= p <= 1.0):
-            raise ProfileParseError(f"p_value {p} outside [0, 1]", line=lineno)
-        significant = fields[6].strip() in ("1", "True", "true")
-        records.append(SegmentRecord(start=start, end=end, mean=mean, z=z,
-                                     log_p=math.log(p) if p > 0 else -math.inf,
-                                     significant=significant))
     return records
 

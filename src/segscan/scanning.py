@@ -61,13 +61,13 @@ class ScanConfig:
             raise ValidationError("w_min must be >= 1")
         if self.w_max < self.w_min:
             raise ValidationError("w_max must be >= w_min")
-        if not self.rho > 1.0:
-            raise ValidationError("rho must be > 1")
+        if not 1.0 < self.rho < math.inf:
+            raise ValidationError("rho must be finite and > 1")
         if not 0.0 < self.p_s <= 1.0:
             raise ValidationError("p_s must be in (0, 1]")
         if not 0.0 < self.alpha < 1.0:
             raise ValidationError("alpha must be in (0, 1)")
-        if self.p_b is not None and self.p_b < 0:
+        if self.p_b is not None and not self.p_b >= 0:
             raise ValidationError("p_b must be >= 0 (or None to disable)")
         if self.k_refine < 2:
             raise ValidationError("k_refine must be >= 2")
@@ -155,9 +155,11 @@ def window_lengths(cfg: ScanConfig) -> list[int]:
     out: list[int] = []
     i = 0
     while True:
-        w = math.ceil(cfg.w_min * cfg.rho ** i)
-        if w > cfg.w_max:
+        # compared before ceil: w_min * rho may overflow to inf
+        length = cfg.w_min * cfg.rho ** i
+        if length > cfg.w_max:
             break
+        w = math.ceil(length)
         if not out or w != out[-1]:
             out.append(w)
         i += 1

@@ -32,9 +32,6 @@ class BoundarySet:
     def __len__(self) -> int:
         return len(self._starts)
 
-    def __iter__(self):
-        return iter(zip(self._starts, self._ends))
-
     def overlaps(self, start: int, end: int) -> bool:
         """True iff [start, end) intersects any stored interval."""
         if start >= end:

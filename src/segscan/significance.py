@@ -66,7 +66,7 @@ def apply_biological_cutoff(records, p_b: float, background: float) -> list[Segm
     The cutoff is a magnitude filter in raw signal units. All records stay
     in the output; only flags change.
     """
-    if p_b < 0:
+    if not p_b >= 0:
         raise ValidationError("p_b must be >= 0")
     out = []
     for record in records:

@@ -32,9 +32,6 @@ import numpy as np
 from .errors import ProfileParseError, ValidationError
 from .profiles import Profile, _decode
 
-GENERATOR = "PCG64"
-
-
 @dataclass(frozen=True)
 class PlantedSegment:
     """Ground-truth segment: half-open interval plus its mean in sigma units."""
@@ -169,7 +166,7 @@ def read_truth_manifest(source) -> tuple[dict[str, list[PlantedSegment]], int | 
                                     line=lineno)
         try:
             seg = PlantedSegment(int(fields[1]), int(fields[2]), float(fields[3]))
-        except ValueError as exc:
+        except (ValueError, ValidationError) as exc:
             raise ProfileParseError(str(exc), line=lineno) from None
         truth.setdefault(fields[0], []).append(seg)
     return truth, length

@@ -72,7 +72,11 @@ class PrefixSums:
     """Cumulative sums of a profile, length n+1 with cumulative[0] == 0."""
 
     cumulative: np.ndarray
-    n: int = 0
+
+    @property
+    def n(self) -> int:
+        """Profile length."""
+        return self.cumulative.size - 1
 
     def range_sum(self, start: int, end: int) -> float:
         """Sum of values[start:end] in O(1)."""
@@ -91,7 +95,7 @@ def build_prefix_sums(profile, counter: OpCounter | None = None) -> PrefixSums:
     cumulative.flags.writeable = False
     if counter is not None:
         counter.add(values.size)
-    return PrefixSums(cumulative, int(values.size))
+    return PrefixSums(cumulative)
 
 
 def estimate_sigma_mad(profile, background: float = 0.0) -> NoiseModel:

@@ -172,6 +172,39 @@ class TestSegment:
         data = out.read_bytes()
         assert data and not data.startswith(b"#")
 
+    def test_bare_flags_give_default_config(self):
+        args = cli.build_parser().parse_args(["segment", "x.txt"])
+        assert cli._config_from(args) == segscan.ScanConfig()
+
+    def test_one_profile_same_table_on_every_route(self, tmp_path, capsysbinary):
+        path = _write_profile(tmp_path / "p.txt", seed=31)
+        other = _write_profile(tmp_path / "q.txt", seed=32)
+        assert main(["segment", str(path)]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main(["segment", str(path), "--output", str(tmp_path / "p.tsv")]) == 0
+        assert main(["segment", str(path), str(other), "--output", str(tmp_path / "out")]) == 0
+        assert stdout.startswith(b"#label")
+        assert (tmp_path / "p.tsv").read_bytes() == stdout
+        assert (tmp_path / "out" / "p.segments.tsv").read_bytes() == stdout
+
+    def test_one_input_starts_no_pool(self, tmp_path, monkeypatch, capsys):
+        def no_pool(max_workers):
+            raise AssertionError(f"a pool of {max_workers} started for one input")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        path = _write_profile(tmp_path / "p.txt", seed=33)
+        assert main(["segment", str(path), "--jobs", "4"]) == 0
+        assert capsys.readouterr().out.startswith("#label")
+
+    @pytest.mark.parametrize("flag, value, field", [("--rho", "inf", "rho"),
+                                                    ("--pb", "nan", "p_b")])
+    def test_nonfinite_scan_parameter_is_data_error(self, tmp_path, capsys, flag, value, field):
+        path = _write_profile(tmp_path / "p.txt", seed=34)
+        assert main(["segment", str(path), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"segscan: error: {field} must be")
+        assert "Traceback" not in err
+
 
 class TestSimulate:
     def test_writes_suite_and_manifest(self, tmp_path):
@@ -256,6 +289,32 @@ class TestEvaluateAndBench:
         pred.write_text(".\t0\t5\t1.0\t2.0\t0.01\n")
         assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
         assert f"{pred}: line 1: expected 7 columns" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["truth", "pred"])
+    def test_evaluate_segment_beyond_length_names_the_file(self, tmp_path, capsys, bad):
+        truth = tmp_path / "truth.tsv"
+        pred = tmp_path / "p.segments.tsv"
+        far, near = "0\t50", "0\t5"
+        truth.write_text(f"# length=10\n#profile_id\tstart\tend\tmu\n"
+                         f"p\t{far if bad == 'truth' else near}\t1.0\n")
+        pred.write_text(f".\t{far if bad == 'pred' else near}\t1.0\t2.0\t0.01\t1\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
+        named = truth if bad == "truth" else pred
+        assert f"{named}: segment [0, 50) outside [0, 10)" in capsys.readouterr().err
+
+    def test_evaluate_inverted_predicted_interval_names_the_line(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("# length=10\n#profile_id\tstart\tend\tmu\np\t0\t5\t1.0\n")
+        pred = tmp_path / "p.segments.tsv"
+        pred.write_text("#header\n.\t5\t3\t1.0\t2.0\t0.01\t1\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
+        assert f"{pred}: line 2: invalid segment interval [5, 3)" in capsys.readouterr().err
+
+    def test_evaluate_inverted_planted_interval_names_the_line(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("# length=10\n#profile_id\tstart\tend\tmu\np\t7\t5\t1.0\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
+        assert f"{truth}: line 3: invalid planted interval [7, 5)" in capsys.readouterr().err
 
     def test_bench_reports_median_times(self, suite_dir, tmp_path):
         out = tmp_path / "times.tsv"

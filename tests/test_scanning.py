@@ -59,6 +59,10 @@ class TestWindowLengths:
             assert lengths[-1] <= w_max
             assert all(b > a for a, b in zip(lengths, lengths[1:]))
 
+    def test_overflowing_growth_stops_at_w_min(self):
+        # 2 * 1e308 is inf; the comparison runs before ceil, which would raise
+        assert window_lengths(ScanConfig(w_min=2, w_max=300, rho=1e308)) == [2]
+
 
 def _flat_profile(n):
     return Profile(np.zeros(n) + 0.0), NoiseModel(1.0)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from segscan import (NoiseModel, Profile, ScanConfig, SegmentRecord,
+from segscan import (NoiseModel, Profile, ScanConfig, SegmentRecord, ValidationError,
                      apply_biological_cutoff, bh_select_log, finalize)
 from segscan.scanning import Candidate
 from segscan.stats import build_prefix_sums, segment_stats
@@ -118,6 +118,10 @@ class TestBiologicalCutoff:
     def test_nonzero_background(self):
         out = apply_biological_cutoff(self._records([1.1]), p_b=0.5, background=1.0)
         assert out[0].significant is False
+
+    def test_nan_cutoff_rejected(self):
+        with pytest.raises(ValidationError, match="p_b"):
+            apply_biological_cutoff(self._records([1.1]), p_b=math.nan, background=0.0)
 
 
 class TestFinalize:
