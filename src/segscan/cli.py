@@ -123,25 +123,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(data: bytes, output) -> None:
-    """Write ``data`` to stdout, or atomically to the file ``output``."""
+    """Write ``data`` to stdout, or atomically to the file ``output``.
+
+    A failed file write raises SegscanError naming ``output`` and leaves no
+    temporary file behind.
+    """
     if output is None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
         return
     path = Path(output)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _naming(output):
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 @contextmanager
 def _naming(path) -> Iterator[None]:
-    """Prefix data and OS errors raised in the block with the input path."""
+    """Prefix data and OS errors raised in the block with ``path``."""
     try:
         yield
     except OSError as exc:
@@ -190,14 +195,17 @@ def _cmd_segment(args) -> int:
             outcomes = [future.result() for future in futures]
     else:
         outcomes = [_segment_one(*item) for item in work]
-    # one bad profile must not hide the results of the others
+    # one bad profile, or one failed write, must not hide the other tables
     failed = 0
     for outcome, target in zip(outcomes, targets):
-        if isinstance(outcome, SegscanError):
-            print(f"segscan: error: {outcome}", file=sys.stderr)
-            failed += 1
-        else:
-            _emit(outcome, target)
+        if not isinstance(outcome, SegscanError):
+            try:
+                _emit(outcome, target)
+                continue
+            except SegscanError as exc:
+                outcome = exc
+        print(f"segscan: error: {outcome}", file=sys.stderr)
+        failed += 1
     return EXIT_DATA if failed else EXIT_OK
 
 

@@ -3,21 +3,24 @@
 Window lengths grow geometrically: W_i = ceil(rho**i * w_min), deduplicated,
 up to w_max. At each scale the windows are placed with stride ceil(W/5), plus
 one right-aligned window at N - W so the tail of the profile is always
-covered. Window sums come from the prefix-sum array, so the whole scan costs
-one subtraction per window placement instead of one pass per window; the
-predicted operation counts of the brute-force and memoized strategies are
-available from predicted_op_counts for comparison against an instrumented
-run.
+covered. All sums of one scale come from one strided-slice subtraction of
+the prefix-sum array, so the scan costs one subtraction per window placement
+instead of one pass per window; the predicted operation counts of the
+brute-force and memoized strategies are available from predicted_op_counts
+for comparison against an instrumented run.
 
 Every window whose tail probability is at or below the retention threshold
 p_s becomes a candidate. The scan keeps candidates as the numpy columns of a
-CandidateTable, never as one Python object per window: at each scale it
-computes z for every window and drops windows whose |z| (z for the one-sided
-test) is below a slightly loose bound derived from p_s; the exact log
-p-value test then runs once over the survivors of all scales, so that test
-alone decides membership. Rows order by (log_p ascending, length
-descending, start ascending), set by one lexsort; the secondary keys make
-runs reproducible when p-values tie.
+CandidateTable, never as one Python object per window. At each scale every
+window sum is compared with the bounds w * background +- cut * sigma *
+sqrt(w), where cut is a slightly loose bound on |z| (z for the one-sided
+test) derived from p_s and the bounds are loosened further for rounding; z
+is computed only for the windows past them. The exact log p-value test then
+runs once over the survivors of all scales, so that test alone decides
+membership. Scales are visited longest first, so rows arrive in (length
+descending, start ascending) order, and one stable sort on log p gives the
+table order (log_p ascending, length descending, start ascending); the
+secondary keys make runs reproducible when p-values tie.
 """
 
 from __future__ import annotations
@@ -115,8 +118,11 @@ class CandidateTable:
     """Scan candidates as columns, rows in (log_p, length descending, start) order.
 
     ``start`` and ``end`` are int64, ``z`` and ``log_p`` float64, all of one
-    length. ``candidate(i)`` builds the Candidate of row ``i``; stages that
-    need only a few rows as objects (selection) build just those.
+    length. ``scan`` sets the row order with one stable sort on log_p over
+    rows that arrive longest scale first; ``from_candidates`` sorts objects
+    given in any order by all three keys. ``candidate(i)`` builds the
+    Candidate of row ``i``; stages that need only a few rows as objects
+    (selection) build just those.
     """
 
     start: np.ndarray
@@ -132,22 +138,16 @@ class CandidateTable:
                          float(self.log_p[i]))
 
     @classmethod
-    def _sorted(cls, start, end, z, log_p) -> "CandidateTable":
-        start = np.asarray(start, dtype=np.int64)
-        end = np.asarray(end, dtype=np.int64)
-        log_p = np.asarray(log_p, dtype=np.float64)
-        # stable, so rows with equal keys keep their input order; lexsort's
-        # last key is the primary one
-        order = np.lexsort((start, start - end, log_p))
-        return cls(start[order], end[order], np.asarray(z, dtype=np.float64)[order],
-                   log_p[order])
-
-    @classmethod
     def from_candidates(cls, candidates) -> "CandidateTable":
         """Table of Candidate objects given in any order."""
         cands = list(candidates)
-        return cls._sorted([c.start for c in cands], [c.end for c in cands],
-                           [c.z for c in cands], [c.log_p for c in cands])
+        start = np.array([c.start for c in cands], dtype=np.int64)
+        end = np.array([c.end for c in cands], dtype=np.int64)
+        log_p = np.array([c.log_p for c in cands], dtype=np.float64)
+        # lexsort's last key is the primary one
+        order = np.lexsort((start, start - end, log_p))
+        return cls(start[order], end[order],
+                   np.array([c.z for c in cands], dtype=np.float64)[order], log_p[order])
 
 
 def window_lengths(cfg: ScanConfig) -> list[int]:
@@ -166,15 +166,8 @@ def window_lengths(cfg: ScanConfig) -> list[int]:
     return out
 
 
-def _window_starts(n: int, w: int, exhaustive: bool) -> np.ndarray:
-    if exhaustive:
-        return np.arange(0, n - w + 1, dtype=np.int64)
-    stride = math.ceil(w / STRIDE_DIVISOR)
-    starts = np.arange(0, n - w + 1, stride, dtype=np.int64)
-    if starts[-1] != n - w:
-        # right-align a final window so the profile tail is scanned
-        starts = np.append(starts, n - w)
-    return starts
+# Relative loosening of the sum-space bounds; see scan.
+_SUM_SLACK = 1e-9
 
 
 def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
@@ -202,8 +195,9 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     -------
     CandidateTable
         One row per window with log p <= log p_s, in (log_p, length
-        descending, start) order. z is computed for every window; the
-        p-value only for windows past the z_cut prefilter.
+        descending, start) order. Every window costs one subtraction and
+        a compare against the sum-space bounds; z is computed only for the
+        windows past those bounds, the p-value only once, over their z.
     """
     cfg = cfg.clamped(ps.n)
     n = ps.n
@@ -211,18 +205,51 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     log_ps_max = math.log(cfg.p_s)
     cut = z_cut(log_ps_max, cfg.sides)
     cum = ps.cumulative
+    # one buffer each for the sums and the two compares, reused by every scale
+    sums_buf = np.empty(n + 1)
+    above_buf = np.empty(n + 1, dtype=bool)
+    below_buf = np.empty(n + 1, dtype=bool)
     found = []
-    for w in lengths:
-        starts = _window_starts(n, w, exhaustive)
+    # longest first, so the rows arrive in (length descending, start) order
+    # and one stable sort on log_p finishes the table order
+    for w in reversed(lengths):
+        stride = 1 if exhaustive else math.ceil(w / STRIDE_DIVISOR)
+        m = (n - w) // stride + 1
+        # plus a right-aligned final window so the profile tail is scanned;
+        # it sits at index m, where m * stride > n - w
+        placed = m + ((n - w) % stride > 0)
+        sums = sums_buf[:placed]
+        np.subtract(cum[w::stride], cum[:n - w + 1:stride], out=sums[:m])
+        if placed > m:
+            sums[m] = cum[n] - cum[n - w]
         if counter is not None:
-            counter.add(starts.size)
-        z = z_statistic_batch(cum[starts + w] - cum[starts], w, noise)
-        near = np.flatnonzero((np.abs(z) if cfg.sides == "two" else z) >= cut)
-        found.append((starts[near], starts[near] + w, z[near]))
-    start, end, z = (np.concatenate(column) for column in zip(*found))
+            counter.add(placed)
+        # |z| >= cut in sum space is s >= hi or s <= lo, about
+        # c = w * background; z >= cut (one-sided) is s >= hi. Each
+        # rounding in z_statistic_batch and in the bounds is a relative
+        # error of at most 2**-53 in a term of size |s|, |c| or |half|, and
+        # near a bound |s| is about |c| + |half| at most, so a window whose
+        # computed z passes lies within a few ulp of |c| + |half| of the
+        # exact bound. Moving the bounds outwards by
+        # _SUM_SLACK * (|c| + |half|), orders of magnitude more, keeps every
+        # such window, also when s / w - background cancels. The exact log p
+        # test below still decides membership.
+        c = w * noise.background
+        half = cut * noise.sigma * math.sqrt(w)
+        slack = _SUM_SLACK * (abs(c) + abs(half))
+        hi, lo = c + half - slack, c - half + slack
+        near = np.greater_equal(sums, hi, out=above_buf[:placed])
+        if cfg.sides == "two":
+            np.logical_or(near, np.less_equal(sums, lo, out=below_buf[:placed]), out=near)
+        near = near.nonzero()[0]
+        start = np.minimum(near * stride, n - w)
+        found.append((start, start + w, sums[near]))
+    start, end, sums = (np.concatenate(column) for column in zip(*found))
+    z = z_statistic_batch(sums, end - start, noise)
     log_p = log_p_value_batch(z, cfg.sides)
     keep = np.flatnonzero(log_p <= log_ps_max)
-    return CandidateTable._sorted(start[keep], end[keep], z[keep], log_p[keep])
+    rows = keep[np.argsort(log_p[keep], kind="stable")]
+    return CandidateTable(start[rows], end[rows], z[rows], log_p[rows])
 
 
 def predicted_op_counts(n: int, cfg: ScanConfig) -> tuple[int, int]:

@@ -126,6 +126,44 @@ class TestSegment:
         assert (out_dir / "good.segments.tsv").read_bytes() == \
             (tmp_path / "alone.tsv").read_bytes()
 
+    def test_output_in_missing_directory_names_the_output(self, tmp_path, capsys):
+        good = _write_profile(tmp_path / "good.txt", seed=6)
+        out = tmp_path / "nonexistent" / "x.tsv"
+        assert main(["segment", str(good), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"segscan: error: {out}: No such file or directory" in err
+        assert ".x.tsv." not in err
+
+    def test_output_naming_a_directory_names_the_output(self, tmp_path, capsys):
+        good = _write_profile(tmp_path / "good.txt", seed=6)
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["segment", str(good), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"segscan: error: {out}: Is a directory" in err
+        assert ".d." not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "good.txt"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_write_keeps_other_tables(self, tmp_path, capsys, jobs):
+        inputs = [_write_profile(tmp_path / f"q{i}.txt", seed=i) for i in (1, 2, 3)]
+        out_dir = tmp_path / "out"
+        blocked = out_dir / "q1.segments.tsv"
+        blocked.mkdir(parents=True)
+        assert main(["segment", *map(str, inputs), "--output", str(out_dir),
+                     "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert f"segscan: error: {blocked}: Is a directory" in err
+        assert sorted(p.name for p in out_dir.iterdir()) == \
+            ["q1.segments.tsv", "q2.segments.tsv", "q3.segments.tsv"]
+        assert list(blocked.iterdir()) == []
+        for i in (2, 3):
+            assert main(["segment", str(inputs[i - 1]),
+                         "--output", str(tmp_path / "alone.tsv")]) == 0
+            assert (out_dir / f"q{i}.segments.tsv").read_bytes() == \
+                (tmp_path / "alone.tsv").read_bytes()
+
     def test_workers_limited_to_inputs(self, tmp_path, monkeypatch):
         sizes = []
 

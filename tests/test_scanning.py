@@ -9,7 +9,7 @@ from scipy import stats as scipy_stats
 from segscan import (NoiseModel, Profile, ScanConfig, ValidationError,
                      build_prefix_sums, predicted_op_counts, scan,
                      window_lengths)
-from segscan.stats import OpCounter, log_p_value_batch
+from segscan.stats import OpCounter, log_p_value_batch, z_cut
 
 
 class TestScanConfig:
@@ -159,13 +159,16 @@ class TestScan:
         assert all(z > 0 for z in cands.z.tolist())
 
 
-def _unfiltered_scan(values, noise, cfg):
-    # reference: log_p for every window of the sparse grid, exact filter, lexsort
+def _unfiltered_scan(values, noise, cfg, exhaustive=False):
+    # reference: log_p for every window of the grid, exact filter, lexsort
     n = len(values)
+    cfg = cfg.clamped(n)
     cum = np.concatenate(([0.0], np.cumsum(values)))
     columns = []
-    for w in window_lengths(cfg.clamped(n)):
-        starts = np.array(sorted(set(range(0, n - w + 1, math.ceil(w / 5))) | {n - w}))
+    lengths = range(cfg.w_min, cfg.w_max + 1) if exhaustive else window_lengths(cfg)
+    for w in lengths:
+        stride = 1 if exhaustive else math.ceil(w / 5)
+        starts = np.array(sorted(set(range(0, n - w + 1, stride)) | {n - w}))
         sums = cum[starts + w] - cum[starts]
         z = (sums / w - noise.background) * np.sqrt(w) / noise.sigma
         log_p = log_p_value_batch(z, cfg.sides)
@@ -176,26 +179,106 @@ def _unfiltered_scan(values, noise, cfg):
     return start[order], end[order], z[order], log_p[order]
 
 
+def _assert_matches_reference(values, noise, cfg, exhaustive=False):
+    values = np.array(values, dtype=np.float64)
+    profile = Profile(values)
+    table = scan(profile, build_prefix_sums(profile), noise, cfg, exhaustive=exhaustive)
+    expected = _unfiltered_scan(values, noise, cfg, exhaustive)
+    for column, want in zip(("start", "end", "z", "log_p"), expected):
+        got = getattr(table, column)
+        assert got.dtype == want.dtype and np.array_equal(got, want), column
+
+
+def _at_bound(background, sigma, w, p_s, sides, ulps, upper=True):
+    """(values, background, sigma): one window of w points whose sum is
+    ``ulps`` ulp outside (negative: inside) the unloosened sum-space bound
+    w * background +- cut * sigma * sqrt(w)."""
+    cut = z_cut(math.log(p_s), sides)
+    sign = 1.0 if upper else -1.0
+    total = w * background + sign * (cut * sigma * math.sqrt(w))
+    for _ in range(abs(ulps)):
+        total = math.nextafter(total, math.copysign(math.inf, sign * ulps))
+    # the first w - 1 points are the background itself, so every prefix sum
+    # before the last is exact and the last one is the chosen total
+    return [background] * (w - 1) + [total - (w - 1) * background], background, sigma
+
+
+@st.composite
+def _near_background(draw):
+    """Values within a few sigma of a background near +-1e6, where s / w -
+    background cancels most of its digits."""
+    background = draw(st.floats(5e5, 2e6)) * draw(st.sampled_from([1.0, -1.0]))
+    sigma = draw(st.floats(1e-3, 1.0))
+    offsets = draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=60))
+    return [background + sigma * o for o in offsets], background, sigma
+
+
+_P_S = st.sampled_from([1.0, 0.5, 1e-3, 1e-300, 5e-324])
+_SIDES = st.sampled_from(["one", "two"])
+
+
 class TestPrefilter:
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=60),
            background=st.floats(-3.0, 3.0).filter(lambda b: b != 0.0),
-           sigma=st.sampled_from([0.05, 1.0, 4.0]),
-           p_s=st.sampled_from([1.0, 0.5, 1e-3, 1e-300, 5e-324]),
-           sides=st.sampled_from(["one", "two"]))
+           sigma=st.sampled_from([0.05, 1.0, 4.0]), p_s=_P_S, sides=_SIDES)
     @example(values=[0.0] * 10 + [50.0] * 20 + [-50.0] * 20, background=1.0,
              sigma=0.05, p_s=5e-324, sides="two")
     # one-sided at p_s = 1 the cut is -inf: windows at z < -100 must stay
     @example(values=[-50.0] * 30, background=2.0, sigma=0.05, p_s=1.0, sides="one")
     def test_matches_unfiltered_reference(self, values, background, sigma, p_s, sides):
-        values = np.array(values)
-        profile = Profile(values)
-        noise = NoiseModel(sigma, background=background)
-        cfg = ScanConfig(w_max=40, p_s=p_s, sides=sides)
-        table = scan(profile, build_prefix_sums(profile), noise, cfg)
-        expected = _unfiltered_scan(values, noise, cfg)
-        for column, want in zip(("start", "end", "z", "log_p"), expected):
-            assert np.array_equal(getattr(table, column), want), column
+        _assert_matches_reference(values, NoiseModel(sigma, background=background),
+                                  ScanConfig(w_max=40, p_s=p_s, sides=sides))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_near_background(), p_s=_P_S, sides=_SIDES)
+    # Sums one ulp inside the unloosened bound whose computed z still passes
+    # the exact test: only the slack keeps them. 29 and 31 are scan lengths.
+    @example(case=_at_bound(17098909.0, 1e-4, 29, 1e-3, "one", -1), p_s=1e-3, sides="one")
+    @example(case=_at_bound(-18490527.0, 1e-4, 29, 1e-3, "one", -1), p_s=1e-3, sides="one")
+    @example(case=_at_bound(8446326.0, 1e-4, 31, 1e-3, "two", -1), p_s=1e-3, sides="two")
+    @example(case=_at_bound(8446326.0, 1e-4, 31, 1e-3, "two", -1, upper=False),
+             p_s=1e-3, sides="two")
+    # sums a few ulp on either side of the bound
+    @example(case=_at_bound(1e6, 1e-3, 7, 1e-3, "two", 3), p_s=1e-3, sides="two")
+    @example(case=_at_bound(1e6, 1e-3, 7, 1e-3, "two", -3, upper=False), p_s=1e-3, sides="two")
+    @example(case=_at_bound(-1e6, 1e-3, 12, 1e-300, "one", 2), p_s=1e-300, sides="one")
+    @example(case=_at_bound(-1e6, 1e-3, 12, 1e-300, "one", -2), p_s=1e-300, sides="one")
+    def test_matches_reference_under_cancellation(self, case, p_s, sides):
+        values, background, sigma = case
+        _assert_matches_reference(values, NoiseModel(sigma, background=background),
+                                  ScanConfig(w_max=40, p_s=p_s, sides=sides))
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-20.0, 20.0), min_size=8, max_size=150),
+           w_min=st.integers(1, 8), span=st.integers(0, 80), rho=st.floats(1.01, 2.0),
+           p_s=_P_S, sides=_SIDES)
+    def test_strides_and_tails_vary(self, values, w_min, span, rho, p_s, sides):
+        cfg = ScanConfig(w_min=w_min, w_max=w_min + span, rho=rho, p_s=p_s, sides=sides)
+        _assert_matches_reference(values, NoiseModel(1.0, background=0.5), cfg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(values=st.lists(st.floats(-20.0, 20.0), min_size=4, max_size=50),
+           w_min=st.integers(1, 4), span=st.integers(0, 50), p_s=_P_S, sides=_SIDES)
+    def test_exhaustive_matches_stride_one_reference(self, values, w_min, span, p_s, sides):
+        cfg = ScanConfig(w_min=w_min, w_max=w_min + span, p_s=p_s, sides=sides)
+        _assert_matches_reference(values, NoiseModel(1.0, background=-0.25), cfg,
+                                  exhaustive=True)
+
+    @pytest.mark.parametrize("level", [0.0, 3.0, -2.5])
+    @pytest.mark.parametrize("sides", ["one", "two"])
+    @pytest.mark.parametrize("w_min, rho", [(1, 1.1), (3, 1.7)])
+    def test_constant_profile_orders_ties_by_length_then_start(self, level, sides,
+                                                                w_min, rho):
+        # z is 0 everywhere, so every log p ties
+        cfg = ScanConfig(w_min=w_min, w_max=120, rho=rho, p_s=1.0, sides=sides)
+        values = np.full(400, level)
+        _assert_matches_reference(values, NoiseModel(1.0, background=level), cfg)
+        table = scan(Profile(values), build_prefix_sums(Profile(values)),
+                     NoiseModel(1.0, background=level), cfg)
+        assert np.unique(table.log_p).size == 1
+        lengths = table.end - table.start
+        assert np.all(np.diff(lengths) <= 0)
 
 
 class TestPredictedOpCounts:
@@ -235,3 +318,25 @@ class TestPredictedOpCounts:
         scan(profile, ps, NoiseModel(1.0), cfg, counter=counter)
         _, c_star = predicted_op_counts(2000, cfg)
         assert counter.count <= 3 * c_star
+
+    @pytest.mark.parametrize("n, cfg", [
+        (2000, ScanConfig()),
+        (37, ScanConfig()),
+        (1000, ScanConfig(w_min=3, w_max=90, rho=1.7)),
+        (501, ScanConfig(w_min=7, w_max=7)),
+        (64, ScanConfig(w_min=2, w_max=64, rho=2.0, sides="one")),
+    ])
+    def test_counter_counts_each_placement_once(self, n, cfg):
+        profile = Profile(np.random.default_rng(n).normal(size=n))
+        counter = OpCounter()
+        scan(profile, build_prefix_sums(profile), NoiseModel(1.0), cfg, counter=counter)
+        placements = sum(len(set(range(0, n - w + 1, math.ceil(w / 5))) | {n - w})
+                         for w in window_lengths(cfg.clamped(n)))
+        assert counter.count == placements
+
+    def test_exhaustive_counter_counts_every_placement(self):
+        profile = Profile(np.random.default_rng(2).normal(size=90))
+        counter = OpCounter()
+        scan(profile, build_prefix_sums(profile), NoiseModel(1.0),
+             ScanConfig(w_min=2, w_max=30), exhaustive=True, counter=counter)
+        assert counter.count == sum(90 - w + 1 for w in range(2, 31))
