@@ -58,13 +58,13 @@ print(f"\nselected {len(selected)} disjoint segments:")
 print("  " + " ".join(f"[{seg.start},{seg.end})" for seg in selected))
 
 # ---------------------------------------------------------------------------
-# Stage 4: boundary refinement and merging. Every accepted move strictly
-# lowers the segment's p-value; the trace records each one.
+# Stage 4: boundary refinement and merging. Segments refine best p first,
+# each between its neighbors in the start-ordered list, so no move crosses
+# another segment. Every accepted move strictly lowers the segment's
+# p-value; the trace records each one.
 # ---------------------------------------------------------------------------
 trace = []
 ctx = RefineContext(ps=ps, noise=noise, cfg=cfg, trace=trace)
-for seg in selected:
-    ctx.boundaries.insert(seg.start, seg.end)
 refined = refine_all(ctx, selected)
 merged = merge_adjacent(ctx, refined)
 n_merges = sum(1 for op, *_ in trace if op == "merge")

@@ -38,8 +38,6 @@ def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
     candidates = scan(profile, ps, noise, cfg, counter=counter)
     selected = select_nonoverlapping(candidates, p_s=cfg.p_s)
     ctx = RefineContext(ps=ps, noise=noise, cfg=cfg, trace=trace)
-    for seg in selected:
-        ctx.boundaries.insert(seg.start, seg.end)
     refined = refine_all(ctx, selected)
     merged = merge_adjacent(ctx, refined)
     # the BH family is every candidate the scan retained, not just the

@@ -7,9 +7,10 @@ Supported input formats:
 * ``bedgraph``: standard 4-column chrom/start/end/value; every interval row
   contributes exactly one measurement, with its start used as the position.
 
-Comment lines (leading ``#``) and ``track`` lines are skipped. Missing or
-non-numeric values ("", "NA", "nan") are rejected with the offending line
-number, never imputed.
+Comment lines (leading ``#``) and ``track`` lines (first whitespace-delimited
+token exactly ``track``) are skipped. Missing or non-numeric values ("",
+"NA", "nan") and positions that do not increase are rejected with the
+offending line number, never imputed or reordered.
 
 The segment table is written with 6 significant digits for the float columns
 (mean, z, p_value); the ``bed`` variant is the same rows without the header.
@@ -106,7 +107,7 @@ def _decode(source) -> str:
 
 def _skip(line: str) -> bool:
     stripped = line.strip()
-    return not stripped or stripped.startswith("#") or stripped.startswith("track")
+    return not stripped or stripped.startswith("#") or stripped.split(None, 1)[0] == "track"
 
 
 def _parse_value(token: str, lineno: int) -> float:
@@ -130,8 +131,9 @@ def parse_profile(source, format: str = "plain") -> Profile:
 
     The file is parsed in one bulk pass. Input the bulk pass does not cover
     exactly (a skipped line past the leading header, a row with extra or
-    missing fields, a bad or non-finite number, mixed labels, no data) goes
-    to the line-by-line parser, which reports the offending line.
+    missing fields, a bad or non-finite number, mixed labels, positions
+    that do not increase, no data) goes to the line-by-line parser, which
+    reports the offending line.
     """
     if format not in _LAYOUTS:
         raise ValidationError(f"unknown profile format {format!r}")
@@ -179,7 +181,7 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
             values[rows] = list(map(float, fields[value_col::n_fields]))
         except (ValueError, OverflowError):
             return None
-    if not np.isfinite(values).all():
+    if not (np.isfinite(values).all() and (positions[1:] > positions[:-1]).all()):
         return None
     return Profile(values, positions=positions, label=label)
 
@@ -223,6 +225,9 @@ def _parse_lines(text: str, format: str) -> Profile:
         if not _INT64.min <= position <= _INT64.max:
             raise ProfileParseError(f"position {pos_token!r} does not fit a 64-bit integer",
                                     line=lineno)
+        if positions and position <= positions[-1]:
+            raise ProfileParseError("positions must be strictly increasing "
+                                    f"({positions[-1]} then {position})", line=lineno)
         positions.append(position)
         values.append(_parse_value(value_token, lineno))
 

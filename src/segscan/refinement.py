@@ -15,7 +15,10 @@ committed neighbor or the profile edge; they are truncated to the nearest
 legal boundary. The moves run in a cycle and stop once four in a row leave
 the segment unchanged.
 
-Segments refine in ascending p order, so stronger segments claim contested
+The segments are kept in one list sorted by start. They are disjoint and a
+refined segment stays between its neighbors, so the list never reorders,
+and the committed neighbors of segment i are entries i-1 and i+1. Segments
+refine in ascending p order, so stronger segments claim contested
 territory first. After refinement, consecutive segments merge whenever the
 spanning segment (gap included) has a smaller p-value than both members,
 repeating until no merge applies. Every accepted move strictly decreases a
@@ -30,6 +33,7 @@ from itertools import cycle
 
 import numpy as np
 
+from .errors import ValidationError
 from .scanning import Candidate, ScanConfig
 from .selection import BoundarySet
 from .stats import (NoiseModel, PrefixSums, log_p_value_batch, segment_stats,
@@ -38,7 +42,7 @@ from .stats import (NoiseModel, PrefixSums, log_p_value_batch, segment_stats,
 
 @dataclass
 class RefineContext:
-    """Shared read-only inputs plus the mutable committed boundary set.
+    """Shared read-only inputs of refinement and merging.
 
     ``trace``, when supplied, accumulates one entry per accepted move:
     ("expand_left"|..., before, after) for boundary moves and
@@ -48,6 +52,8 @@ class RefineContext:
     ps: PrefixSums
     noise: NoiseModel
     cfg: ScanConfig
+    # never read here; kept only because segbench's stage replay still
+    # inserts the selected intervals into it
     boundaries: BoundarySet = field(default_factory=BoundarySet)
     trace: list | None = None
 
@@ -110,23 +116,22 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
     return Candidate(start, end, float(z[j]), float(log_p[j]))
 
 
-def move_boundary(ctx: RefineContext, seg: Candidate, op: str) -> Candidate:
+def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
+                  hi: int) -> Candidate:
     """Move one boundary of ``seg`` while the p-value strictly improves.
 
     ``op`` names the boundary and direction (a key of MOVES). Outward moves
-    stop at the nearest committed neighbor or the profile edge, so the
-    segment's own interval must not be in ctx.boundaries while it is being
-    refined (refine_all removes and reinserts it); inward moves keep at
-    least one point. The skipped gap is searched by _search_gap.
+    stop at ``lo`` (left edge) or ``hi`` (right edge): the end of the left
+    neighbor or 0, and the start of the right neighbor or the profile
+    length. Inward moves keep at least one point. The skipped gap is
+    searched by _search_gap.
     """
     left, outward = MOVES[op]
     sign = -1 if left == outward else 1
     if not outward:
         limit = seg.end - 1 if left else seg.start + 1
-    elif left:
-        limit = ctx.boundaries.left_limit(seg.start)
     else:
-        limit = ctx.boundaries.right_limit(seg.end, ctx.ps.n)
+        limit = lo if left else hi
 
     cur = seg
     while True:
@@ -149,16 +154,16 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str) -> Candidate:
     return cur
 
 
-def refine_segment(ctx: RefineContext, seg: Candidate) -> Candidate:
-    """Cycle the four boundary moves until four in a row change nothing.
+def refine_segment(ctx: RefineContext, seg: Candidate, lo: int, hi: int) -> Candidate:
+    """Cycle the four boundary moves within [lo, hi) until four in a row change nothing.
 
     A move's result depends only on the interval it starts from, because
-    ctx.boundaries is fixed while one segment refines. Once every move has
+    the limits are fixed while one segment refines. Once every move has
     left the interval unchanged in a row, any further move would too.
     """
     quiet = 0
     for op in cycle(MOVES):
-        moved = move_boundary(ctx, seg, op)
+        moved = move_boundary(ctx, seg, op, lo, hi)
         quiet = quiet + 1 if moved.interval == seg.interval else 0
         seg = moved
         if quiet == len(MOVES):
@@ -168,19 +173,20 @@ def refine_segment(ctx: RefineContext, seg: Candidate) -> Candidate:
 def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]:
     """Refine every selected segment, best p-value first.
 
-    ctx.boundaries must hold exactly the selected intervals on entry; it is
-    updated in place and holds the refined intervals on return. Returns the
-    refined segments sorted by start.
+    ``selected`` must be disjoint (ValidationError otherwise). Each segment
+    refines between its neighbors in start order as they stand at that
+    moment, refined or not. Returns the refined segments sorted by start.
     """
-    order = sorted(selected, key=lambda c: c.sort_key)
-    refined: list[Candidate] = []
-    for seg in order:
-        ctx.boundaries.remove(seg.start, seg.end)
-        new = refine_segment(ctx, seg)
-        ctx.boundaries.insert(new.start, new.end)
-        refined.append(new)
-    refined.sort(key=lambda c: c.start)
-    return refined
+    segs = sorted(selected, key=lambda c: c.start)
+    for a, b in zip(segs, segs[1:]):
+        if a.end > b.start:
+            raise ValidationError(f"segments [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap")
+    last = len(segs) - 1
+    for i in sorted(range(len(segs)), key=lambda i: segs[i].sort_key):
+        lo = segs[i - 1].end if i > 0 else 0
+        hi = segs[i + 1].start if i < last else ctx.ps.n
+        segs[i] = refine_segment(ctx, segs[i], lo, hi)
+    return segs
 
 
 def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]:
@@ -188,23 +194,19 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
 
     The span runs from the first segment's left boundary to the second's
     right boundary and includes any gap points. After a merge the new
-    segment is re-tested against its neighbors; the scan terminates at a
-    fixpoint where no consecutive pair can merge. Returns the segments
-    sorted by start.
+    segment is re-tested against its left neighbor, then its right one; the
+    pass ends at a fixpoint where no consecutive pair can merge. Returns
+    the segments sorted by start.
     """
-    segs = sorted(selected, key=lambda c: c.start)
-    i = 0
-    while i + 1 < len(segs):
-        left, right = segs[i], segs[i + 1]
-        span = ctx.stat(left.start, right.end)
-        if span.log_p < left.log_p and span.log_p < right.log_p:
+    merged: list[Candidate] = []
+    for right in sorted(selected, key=lambda c: c.start):
+        while merged:
+            left = merged[-1]
+            span = ctx.stat(left.start, right.end)
+            if not (span.log_p < left.log_p and span.log_p < right.log_p):
+                break
             ctx._record("merge", (left, right), span)
-            ctx.boundaries.remove(left.start, left.end)
-            ctx.boundaries.remove(right.start, right.end)
-            ctx.boundaries.insert(span.start, span.end)
-            segs[i:i + 2] = [span]
-            if i > 0:
-                i -= 1
-        else:
-            i += 1
-    return segs
+            merged.pop()
+            right = span
+        merged.append(right)
+    return merged

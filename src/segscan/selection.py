@@ -14,7 +14,7 @@ not overlap.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 import numpy as np
 
@@ -47,26 +47,6 @@ class BoundarySet:
         i = bisect_right(self._starts, start)
         self._starts.insert(i, start)
         self._ends.insert(i, end)
-
-    def remove(self, start: int, end: int) -> None:
-        i = bisect_left(self._starts, start)
-        if i == len(self._starts) or self._starts[i] != start or self._ends[i] != end:
-            raise ValidationError(f"interval [{start}, {end}) is not committed")
-        del self._starts[i]
-        del self._ends[i]
-
-    def left_limit(self, at: int) -> int:
-        """End of the nearest interval at or left of ``at`` (0 if none)."""
-        i = bisect_right(self._starts, at)
-        return self._ends[i - 1] if i > 0 else 0
-
-    def right_limit(self, at: int, n: int) -> int:
-        """Start of the nearest interval at or right of ``at`` (n if none)."""
-        i = bisect_left(self._starts, at)
-        return self._starts[i] if i < len(self._starts) else n
-
-    def intervals(self) -> list[tuple[int, int]]:
-        return list(zip(self._starts, self._ends))
 
 
 #: Rows per block of the select walk's overlap prefilter.

@@ -109,6 +109,16 @@ class TestSegment:
         assert main(["segment", str(bad), "--format", "tsv"]) == 2
         assert f"{bad}: line 2: position '99999999999999999999'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt, rows", [
+        ("tsv", "c\t1\t0.25\nc\t5\t0.5\nc\t5\t0.75\n"),
+        ("bedgraph", "c\t1\t5\t0.25\nc\t5\t9\t0.5\nc\t3\t5\t0.75\n"),
+    ], ids=["tsv-repeated", "bedgraph-decreasing"])
+    def test_non_increasing_position_names_file_and_line(self, tmp_path, capsys, fmt, rows):
+        bad = tmp_path / f"order.{fmt}"
+        bad.write_text(rows)
+        assert main(["segment", str(bad), "--format", fmt]) == 2
+        assert f"{bad}: line 3: positions must be strictly increasing" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_input_keeps_good_tables(self, tmp_path, capsys, jobs):
         good = _write_profile(tmp_path / "good.txt", seed=6)

@@ -49,10 +49,6 @@ class TestParseTsv:
         assert profile.positions.tolist() == [100]
         assert profile.label == "chr1"
 
-    def test_non_monotone_positions(self):
-        with pytest.raises(ValidationError, match="strictly increasing"):
-            parse_profile(b"chr1\t100\t0.5\nchr1\t90\t0.6\n", format="tsv")
-
     def test_mixed_labels(self):
         with pytest.raises(ProfileParseError, match="multiple labels"):
             parse_profile(b"chr1\t1\t0.5\nchr2\t2\t0.6\n", format="tsv")
@@ -92,6 +88,46 @@ class TestParseBedgraph:
         assert len(profile) == 1
 
 
+def _rows(fmt, labels, positions):
+    return "".join(f"{label}\t{pos}\t" + (f"{pos + 10}\t" if fmt == "bedgraph" else "")
+                   + f"{i / 4}\n" for i, (label, pos) in enumerate(zip(labels, positions)))
+
+
+# each test runs on the bulk pass (parse_profile on clean input) and on the
+# line loop it defers to
+@pytest.mark.parametrize("parse", [parse_profile, _parse_lines], ids=["bulk", "loop"])
+@pytest.mark.parametrize("fmt", ["tsv", "bedgraph"])
+class TestTrackLines:
+    @pytest.mark.parametrize("label", ["trackA", "tracking", "track_y"])
+    def test_label_starting_with_track_is_data(self, parse, fmt, label):
+        profile = parse(_rows(fmt, [label] * 3, [10, 20, 30]), fmt)
+        assert profile.label == label
+        assert profile.positions.tolist() == [10, 20, 30]
+        assert profile.values.tolist() == [0.0, 0.25, 0.5]
+
+    @pytest.mark.parametrize("label", ["tracking", "track_y"])
+    def test_row_labelled_like_a_track_is_not_dropped(self, parse, fmt, label):
+        text = _rows(fmt, ["chr1", label, "chr1"], [10, 20, 30])
+        with pytest.raises(ProfileParseError, match="multiple labels") as err:
+            parse(text, fmt)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("header", ["track", "track type=bedGraph name=x", "  track\tx=1"])
+    def test_track_line_is_skipped(self, parse, fmt, header):
+        profile = parse(header + "\n" + _rows(fmt, ["c"] * 2, [10, 20]), fmt)
+        assert profile.positions.tolist() == [10, 20]
+
+
+@pytest.mark.parametrize("parse", [parse_profile, _parse_lines], ids=["bulk", "loop"])
+@pytest.mark.parametrize("fmt", ["tsv", "bedgraph"])
+@pytest.mark.parametrize("third, previous", [(15, 20), (20, 20)], ids=["decreasing", "repeated"])
+def test_non_increasing_position_names_its_line(parse, fmt, third, previous):
+    text = "# header\n" + _rows(fmt, ["c"] * 4, [10, previous, third, 40])
+    with pytest.raises(ProfileParseError, match="strictly increasing") as err:
+        parse(text, fmt)
+    assert str(err.value) == f"line 4: positions must be strictly increasing ({previous} then {third})"
+
+
 class TestUnknownFormat:
     @pytest.mark.parametrize("data", [b"# x\n", b"1.0\n"])
     def test_rejected_before_any_line_is_read(self, data):
@@ -109,7 +145,8 @@ def _outcome(parse, text, fmt):
 
 
 _SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
-_SKIPPED = ["", "   ", "# comment", "  #x\t1\t2\t3", "track type=bedGraph", "\t\t\t"]
+_SKIPPED = ["", "   ", "# comment", "  #x\t1\t2\t3", "track type=bedGraph", "track",
+            "track\t1\t2\t3", "\t\t\t"]
 _VALUE_DEFECTS = {"nonfinite": ["nan", "inf", "-Infinity", "1e400"],
                   "malformed": ["NA", "", "1_000", "+5", "0x1p3", "1,5"]}
 
@@ -124,7 +161,7 @@ def _profile_texts(draw):
     pad = st.sampled_from(["", " ", "  ", "\u00a0"])
     # a clean text takes the bulk pass; a defect on some rows makes it defer
     defect = draw(st.sampled_from([None, "nonfinite", "malformed", "fields", "label",
-                                   "position", "skipped"]))
+                                   "position", "order", "skipped"]))
     hit = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))) if defect else ()
     rows = []
     for i, (value, pos) in enumerate(zip(values, positions)):
@@ -138,9 +175,11 @@ def _profile_texts(draw):
         if i in hit and defect == "fields":
             fields = fields + ["extra"] if draw(st.booleans()) else fields[:-1]
         elif i in hit and defect == "label":
-            fields[0] = "chr2"
+            fields[0] = draw(st.sampled_from(["chr2", "tracking"]))
         elif i in hit and defect == "position":
             fields[1] = draw(st.sampled_from(["+5", "1_000", " 12", "x", "", str(2 ** 70)]))
+        elif i in hit and defect == "order" and i > 0:
+            fields[1] = str(positions[i - 1] - draw(st.integers(0, 3)))
         rows.append("\t".join(fields))
     if defect == "skipped":
         for i in sorted(hit, reverse=True):

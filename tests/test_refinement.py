@@ -1,9 +1,11 @@
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segscan import (NoiseModel, Profile, RefineContext, ScanConfig,
+from segscan import (NoiseModel, Profile, RefineContext, ScanConfig, ValidationError,
                      build_prefix_sums, merge_adjacent, move_boundary,
                      refine_all, refinement, scan, select_nonoverlapping)
 
@@ -12,14 +14,11 @@ from segscan import (NoiseModel, Profile, RefineContext, ScanConfig,
 ALL_BATCHED, ALL_SCALAR = 1, 10**9
 
 
-def _context(values, k_refine=10, committed=(), trace=None):
+def _context(values, k_refine=10, trace=None):
     profile = Profile(values)
     ps = build_prefix_sums(profile)
-    ctx = RefineContext(ps=ps, noise=NoiseModel(1.0), cfg=ScanConfig(k_refine=k_refine),
-                        trace=trace)
-    for start, end in committed:
-        ctx.boundaries.insert(start, end)
-    return ctx
+    return RefineContext(ps=ps, noise=NoiseModel(1.0), cfg=ScanConfig(k_refine=k_refine),
+                         trace=trace)
 
 
 def _block_profile(n, start, end, height):
@@ -71,31 +70,31 @@ def test_gap_search_tie_keeps_longer_segment(op, monkeypatch):
     assert ctx.stat(*longer).log_p < ctx.stat(*seg).log_p
     for gap_batch_min in (ALL_BATCHED, ALL_SCALAR):
         monkeypatch.setattr(refinement, "GAP_BATCH_MIN", gap_batch_min)
-        refined = move_boundary(ctx, ctx.stat(*seg), op)
+        refined = move_boundary(ctx, ctx.stat(*seg), op, 0, values.size)
         assert refined.interval == longer, gap_batch_min
 
 
 class TestExpandLeft:
     def test_recovers_planted_boundary(self):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        refined = move_boundary(ctx, ctx.stat(14, 30), "expand_left")
+        refined = move_boundary(ctx, ctx.stat(14, 30), "expand_left", 0, 40)
         assert refined.interval == (10, 30)
         assert _best_left(ctx, 30, 0, 15) == 10
 
     def test_already_optimal_unchanged(self):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
         seg = ctx.stat(10, 30)
-        assert move_boundary(ctx, seg, "expand_left") == seg
+        assert move_boundary(ctx, seg, "expand_left", 0, 40) == seg
 
     def test_committed_neighbor_clamps(self):
-        values = _block_profile(40, 10, 30, 3.0)
-        ctx = _context(values, committed=[(0, 14)])
+        # a committed neighbor [0, 14) puts the left limit at 14
+        ctx = _context(_block_profile(40, 10, 30, 3.0))
         seg = ctx.stat(14, 30)
-        assert move_boundary(ctx, seg, "expand_left") == seg
+        assert move_boundary(ctx, seg, "expand_left", 14, 40) == seg
 
     def test_profile_edge_clamps(self):
         ctx = _context(_block_profile(20, 0, 10, 3.0))
-        refined = move_boundary(ctx, ctx.stat(2, 10), "expand_left")
+        refined = move_boundary(ctx, ctx.stat(2, 10), "expand_left", 0, 20)
         assert refined.start == 0
 
 
@@ -103,18 +102,19 @@ class TestExpandRight:
     def test_recovers_planted_boundary(self):
         # exact mirror of the expand_left instance under profile reversal
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        refined = move_boundary(ctx, ctx.stat(10, 26), "expand_right")
+        refined = move_boundary(ctx, ctx.stat(10, 26), "expand_right", 0, 40)
         assert refined.interval == (10, 30)
         assert _best_right(ctx, 10, 27, 41) == 30
 
     def test_segment_at_profile_end_clamps(self):
         ctx = _context(_block_profile(20, 12, 20, 3.0))
-        refined = move_boundary(ctx, ctx.stat(12, 18), "expand_right")
+        refined = move_boundary(ctx, ctx.stat(12, 18), "expand_right", 0, 20)
         assert refined.end <= 20
 
     def test_committed_neighbor_clamps(self):
-        ctx = _context(_block_profile(40, 10, 30, 3.0), committed=[(30, 35)])
-        refined = move_boundary(ctx, ctx.stat(10, 30), "expand_right")
+        # a committed neighbor [30, 35) puts the right limit at 30
+        ctx = _context(_block_profile(40, 10, 30, 3.0))
+        refined = move_boundary(ctx, ctx.stat(10, 30), "expand_right", 0, 30)
         assert refined.end == 30
 
 
@@ -122,19 +122,19 @@ class TestShrink:
     def test_exact_segment_unchanged(self):
         ctx = _context(_block_profile(50, 10, 30, 3.0))
         seg = ctx.stat(10, 30)
-        assert move_boundary(ctx, seg, "shrink_left") == seg
-        assert move_boundary(ctx, seg, "shrink_right") == seg
+        assert move_boundary(ctx, seg, "shrink_left", 0, 50) == seg
+        assert move_boundary(ctx, seg, "shrink_right", 0, 50) == seg
 
     def test_shrink_left_matches_exhaustive_oracle(self):
         # K = 6 puts the first inward jump on the planted boundary
         ctx = _context(_block_profile(50, 10, 30, 3.0), k_refine=6)
-        refined = move_boundary(ctx, ctx.stat(5, 35), "shrink_left")
+        refined = move_boundary(ctx, ctx.stat(5, 35), "shrink_left", 0, 50)
         assert refined.start == _best_left(ctx, 35, 6, 35)
         assert refined.start == 10
 
     def test_shrink_right_matches_exhaustive_oracle(self):
         ctx = _context(_block_profile(50, 10, 30, 3.0), k_refine=6)
-        refined = move_boundary(ctx, ctx.stat(10, 35), "shrink_right")
+        refined = move_boundary(ctx, ctx.stat(10, 35), "shrink_right", 0, 50)
         assert refined.end == _best_right(ctx, 10, 11, 35)
         assert refined.end == 30
 
@@ -145,14 +145,14 @@ class TestShrink:
         ctx = _context(values)
         seg = ctx.stat(45, 105)
         for op in ("shrink_left", "shrink_right"):
-            refined = move_boundary(ctx, seg, op)
+            refined = move_boundary(ctx, seg, op, 0, 200)
             assert refined.log_p <= seg.log_p
 
     def test_length_one_unchanged(self):
         ctx = _context(_block_profile(20, 5, 6, 5.0))
         seg = ctx.stat(5, 6)
-        assert move_boundary(ctx, seg, "shrink_left") == seg
-        assert move_boundary(ctx, seg, "shrink_right") == seg
+        assert move_boundary(ctx, seg, "shrink_left", 0, 20) == seg
+        assert move_boundary(ctx, seg, "shrink_right", 0, 20) == seg
 
 
 class TestReversalSymmetry:
@@ -172,19 +172,13 @@ class TestReversalSymmetry:
         selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
         assert len(selected) >= 3
         ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
-        for seg in selected:
-            ctx.boundaries.insert(seg.start, seg.end)
         forward = refine_all(ctx, selected)
 
         rev_profile = Profile(values[::-1].copy())
         rev_ps = build_prefix_sums(rev_profile)
         rev_ctx = RefineContext(ps=rev_ps, noise=noise, cfg=cfg)
-        mirrored_selected = []
-        for seg in selected:
-            mirrored = rev_ctx.stat(n - seg.end, n - seg.start)
-            rev_ctx.boundaries.insert(mirrored.start, mirrored.end)
-            mirrored_selected.append(mirrored)
-        mirrored_selected.sort(key=lambda c: c.start)
+        mirrored_selected = sorted((rev_ctx.stat(n - seg.end, n - seg.start)
+                                    for seg in selected), key=lambda c: c.start)
         backward = refine_all(rev_ctx, mirrored_selected)
 
         mirrored_back = sorted((n - seg.end, n - seg.start) for seg in backward)
@@ -198,11 +192,10 @@ class TestRefineAll:
 
     def test_single_segment_composes_four_ops(self):
         values = _block_profile(60, 20, 40, 2.5)
-        ctx = _context(values, committed=[(24, 38)])
+        ctx = _context(values)
         out = refine_all(ctx, [ctx.stat(24, 38)])
         assert len(out) == 1
         assert out[0].interval == (20, 40)
-        assert ctx.boundaries.intervals() == [(20, 40)]
 
     def test_random_instance_monotone_and_disjoint(self):
         rng = np.random.default_rng(33)
@@ -216,8 +209,6 @@ class TestRefineAll:
         selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
         assert len(selected) >= 5
         ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
-        for seg in selected:
-            ctx.boundaries.insert(seg.start, seg.end)
         refined = refine_all(ctx, selected)
         assert len(refined) == len(selected)
         intervals = [seg.interval for seg in refined]
@@ -229,25 +220,24 @@ class TestRefineAll:
 
 class TestMerge:
     def test_single_segment_unchanged(self):
-        ctx = _context(_block_profile(50, 10, 30, 3.0), committed=[(10, 30)])
+        ctx = _context(_block_profile(50, 10, 30, 3.0))
         out = merge_adjacent(ctx, [ctx.stat(10, 30)])
         assert [seg.interval for seg in out] == [(10, 30)]
 
     def test_split_signal_merges(self):
         values = _block_profile(300, 100, 160, 1.0)
-        ctx = _context(values, committed=[(100, 128), (132, 160)])
+        ctx = _context(values)
         left, right = ctx.stat(100, 128), ctx.stat(132, 160)
         span = ctx.stat(100, 160)
         assert span.log_p < left.log_p and span.log_p < right.log_p  # direct computation
         out = merge_adjacent(ctx, [left, right])
         assert [seg.interval for seg in out] == [(100, 160)]
-        assert ctx.boundaries.intervals() == [(100, 160)]
 
     def test_distant_segments_not_merged(self):
         values = np.zeros(400)
         values[10:30] = 3.0
         values[300:320] = 3.0
-        ctx = _context(values, committed=[(10, 30), (300, 320)])
+        ctx = _context(values)
         a, b = ctx.stat(10, 30), ctx.stat(300, 320)
         span = ctx.stat(10, 320)
         assert span.log_p > a.log_p  # the long zero gap dilutes the span
@@ -257,9 +247,25 @@ class TestMerge:
     def test_cascade_merges_to_fixpoint(self):
         values = _block_profile(200, 50, 130, 1.5)
         pieces = [(50, 75), (78, 100), (103, 130)]
-        ctx = _context(values, committed=pieces)
+        ctx = _context(values)
         out = merge_adjacent(ctx, [ctx.stat(s, e) for s, e in pieces])
         assert [seg.interval for seg in out] == [(50, 130)]
+
+    def test_merge_retests_left_neighbor(self):
+        # [34, 40) does not merge with [42, 44), but it does with the span
+        # [42, 80) that [42, 44) forms with [44, 80)
+        values = np.zeros(100)
+        values[34:40], values[42:44], values[44:80] = 2.2, 6.0, 3.0
+        trace = []
+        ctx = _context(values, trace=trace)
+        a, b, c = ctx.stat(34, 40), ctx.stat(42, 44), ctx.stat(44, 80)
+        span = ctx.stat(34, 44)
+        assert not (span.log_p < a.log_p and span.log_p < b.log_p)
+        out = merge_adjacent(ctx, [a, b, c])
+        assert [seg.interval for seg in out] == [(34, 80)]
+        assert [(left.interval, right.interval, span.interval)
+                for _, (left, right), span in trace] == [((42, 44), (44, 80), (42, 80)),
+                                                        ((34, 40), (42, 80), (34, 80))]
 
     def test_fixpoint_property(self):
         rng = np.random.default_rng(34)
@@ -272,8 +278,6 @@ class TestMerge:
         cfg = ScanConfig()
         selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
         ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
-        for seg in selected:
-            ctx.boundaries.insert(seg.start, seg.end)
         segs = merge_adjacent(ctx, refine_all(ctx, selected))
         for a, b in zip(segs, segs[1:]):
             span = ctx.stat(a.start, b.end)
@@ -282,7 +286,7 @@ class TestMerge:
     def test_trace_records_strict_decreases(self):
         trace = []
         values = _block_profile(300, 100, 160, 1.0)
-        ctx = _context(values, committed=[(100, 128), (132, 160)], trace=trace)
+        ctx = _context(values, trace=trace)
         merge_adjacent(ctx, [ctx.stat(100, 128), ctx.stat(132, 160)])
         assert trace
         for op, before, after in trace:
@@ -292,38 +296,123 @@ class TestMerge:
             assert after.log_p < right.log_p
 
 
-def _refined(values, cfg, gap_batch_min):
-    """repr of refine_all's trace, result and boundary set at one batch setting."""
+def _reference_refine_all(ctx, selected):
+    """refine_all as a committed set: remove, refine between bisected limits, reinsert."""
+    by_start = sorted(selected, key=lambda c: c.start)
+    starts, ends = [seg.start for seg in by_start], [seg.end for seg in by_start]
+    refined = []
+    for seg in sorted(selected, key=lambda c: c.sort_key):
+        i = bisect_left(starts, seg.start)
+        del starts[i], ends[i]
+        left, right = bisect_right(starts, seg.start), bisect_left(starts, seg.end)
+        lo = ends[left - 1] if left > 0 else 0
+        hi = starts[right] if right < len(starts) else ctx.ps.n
+        new = refinement.refine_segment(ctx, seg, lo, hi)
+        assert lo <= new.start and new.end <= hi
+        i = bisect_right(starts, new.start)
+        starts.insert(i, new.start)
+        ends.insert(i, new.end)
+        refined.append(new)
+    return sorted(refined, key=lambda c: c.start)
+
+
+def _reference_merge_adjacent(ctx, selected):
+    """merge_adjacent as an index walk that steps back after each merge."""
+    segs = sorted(selected, key=lambda c: c.start)
+    i = 0
+    while i + 1 < len(segs):
+        left, right = segs[i], segs[i + 1]
+        span = ctx.stat(left.start, right.end)
+        if span.log_p < left.log_p and span.log_p < right.log_p:
+            ctx._record("merge", (left, right), span)
+            segs[i:i + 2] = [span]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return segs
+
+
+def _refined(values, cfg, gap_batch_min, refine=refine_all, merge=merge_adjacent):
+    """repr of the trace, refined and merged segments at one batch setting."""
     profile = Profile(values)
     ps = build_prefix_sums(profile)
     noise = NoiseModel(1.0, cfg.background)
     selected = select_nonoverlapping(scan(profile, ps, noise, cfg))
     trace = []
     ctx = RefineContext(ps=ps, noise=noise, cfg=cfg, trace=trace)
-    for seg in selected:
-        ctx.boundaries.insert(seg.start, seg.end)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refinement, "GAP_BATCH_MIN", gap_batch_min)
-        refined = refine_all(ctx, selected)
-    return repr((trace, refined, ctx.boundaries.intervals()))
+        refined = refine(ctx, selected)
+        merged = merge(ctx, refined)
+    return repr((trace, refined, merged))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 400),
-       blocks=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 120),
-                                 st.floats(-3.0, 3.0)), max_size=5),
-       sides=st.sampled_from(["two", "one"]), background=st.sampled_from([0.0, 0.4, -0.7]),
-       k_refine=st.sampled_from([2, 3, 10]))
-def test_batched_gap_search_matches_scalar(seed, n, blocks, sides, background, k_refine):
-    # every accepted move, its z and log p bits, and the refined segments
-    # must be the same whether gaps are searched in batches or one by one
+def _planted(seed, n, blocks, background):
     values = np.random.default_rng(seed).normal(background, 1.0, size=n)
     for where, length, height in blocks:
         start = int(where * (n - 1))
         values[start:start + length] += height
-    cfg = ScanConfig(w_max=min(n, 150), p_s=0.05, k_refine=k_refine, background=background,
-                     sides=sides)
+    return values
+
+
+_PROFILES = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(20, 400),
+    blocks=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(1, 120),
+                              st.floats(-3.0, 3.0)), max_size=5),
+    sides=st.sampled_from(["two", "one"]), background=st.sampled_from([0.0, 0.4, -0.7]),
+    k_refine=st.sampled_from([2, 3, 10]))
+
+
+def _config(n, sides, background, k_refine):
+    return ScanConfig(w_max=min(n, 150), p_s=0.05, k_refine=k_refine, background=background,
+                      sides=sides)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_PROFILES)
+def test_batched_gap_search_matches_scalar(seed, n, blocks, sides, background, k_refine):
+    # every accepted move, its z and log p bits, and the refined segments
+    # must be the same whether gaps are searched in batches or one by one
+    values = _planted(seed, n, blocks, background)
+    cfg = _config(n, sides, background, k_refine)
     assert _refined(values, cfg, ALL_BATCHED) == _refined(values, cfg, ALL_SCALAR)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_PROFILES, gap_batch_min=st.sampled_from([ALL_BATCHED, ALL_SCALAR]))
+# in the first two examples a neighbor's refined edge, not its selected
+# one, limits a segment; in the last two a merged span then merges with its
+# left neighbor
+@example(seed=1835295430, n=131, blocks=[(0.2768912040453708, 88, 2.819552479296796),
+                                         (0.5160685855478787, 20, -2.3048063251753783),
+                                         (0.6234897555375004, 55, 0.6780198063182428)],
+         sides="one", background=-0.7, k_refine=10, gap_batch_min=ALL_SCALAR)
+@example(seed=3480101842, n=120, blocks=[(0.10592123670732445, 51, 0.7989596762193467),
+                                         (0.38042426988653233, 3, 0.923196066410366),
+                                         (0.4312267487774062, 88, 2.2039230338531954)],
+         sides="two", background=0.4, k_refine=2, gap_batch_min=ALL_BATCHED)
+@example(seed=2944380402, n=266, blocks=[(0.38367755426188344, 74, 2.9832596147352657)],
+         sides="one", background=-0.7, k_refine=3, gap_batch_min=ALL_BATCHED)
+@example(seed=3466406095, n=342, blocks=[(0.43329583344918976, 55, 0.3743183294998289),
+                                         (0.7047066751610935, 37, 0.8372541086023606)],
+         sides="two", background=0.0, k_refine=10, gap_batch_min=ALL_SCALAR)
+def test_matches_set_based_reference(seed, n, blocks, sides, background, k_refine,
+                                     gap_batch_min):
+    # the list walk must accept the same moves and merges, in the same
+    # order, as the committed-set refinement and step-back merge it replaced
+    values = _planted(seed, n, blocks, background)
+    cfg = _config(n, sides, background, k_refine)
+    assert (_refined(values, cfg, gap_batch_min)
+            == _refined(values, cfg, gap_batch_min, _reference_refine_all,
+                        _reference_merge_adjacent))
+
+
+@pytest.mark.parametrize("pieces", [[(10, 30), (29, 40)], [(20, 40), (0, 50)],
+                                    [(5, 10), (5, 12)]])
+def test_overlapping_input_raises(pieces):
+    ctx = _context(np.zeros(60) + 0.5)
+    with pytest.raises(ValidationError, match="overlap"):
+        refine_all(ctx, [ctx.stat(s, e) for s, e in pieces])
 
 
 class TestQuietMoveStop:
@@ -331,9 +420,9 @@ class TestQuietMoveStop:
     def calls(self, monkeypatch):
         calls = []
 
-        def counted(ctx, seg, op):
+        def counted(ctx, seg, op, lo, hi):
             calls.append(op)
-            return move_boundary(ctx, seg, op)
+            return move_boundary(ctx, seg, op, lo, hi)
 
         monkeypatch.setattr(refinement, "move_boundary", counted)
         return calls
@@ -341,13 +430,13 @@ class TestQuietMoveStop:
     def test_optimal_segment_makes_four_moves(self, calls):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
         seg = ctx.stat(10, 30)
-        assert refinement.refine_segment(ctx, seg) == seg
+        assert refinement.refine_segment(ctx, seg, 0, 40) == seg
         assert calls == ["expand_left", "expand_right", "shrink_left", "shrink_right"]
 
     def test_first_move_change_then_four_quiet_moves(self, calls):
         # expand_left recovers the planted start; the next four moves find
         # nothing, where a second full pass would have made eight calls
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        assert refinement.refine_segment(ctx, ctx.stat(14, 30)).interval == (10, 30)
+        assert refinement.refine_segment(ctx, ctx.stat(14, 30), 0, 40).interval == (10, 30)
         assert calls == ["expand_left", "expand_right", "shrink_left", "shrink_right",
                          "expand_left"]

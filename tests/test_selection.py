@@ -58,23 +58,6 @@ class TestBoundarySet:
         with pytest.raises(ValidationError):
             bs.insert(9, 12)
 
-    def test_remove(self):
-        bs = BoundarySet()
-        bs.insert(5, 10)
-        bs.remove(5, 10)
-        assert len(bs) == 0
-        with pytest.raises(ValidationError):
-            bs.remove(5, 10)
-
-    def test_limits(self):
-        bs = BoundarySet()
-        bs.insert(10, 20)
-        bs.insert(40, 50)
-        assert bs.left_limit(30) == 20
-        assert bs.left_limit(5) == 0
-        assert bs.right_limit(30, 100) == 40
-        assert bs.right_limit(60, 100) == 100
-
     def test_empty_query_rejected(self):
         with pytest.raises(ValidationError):
             BoundarySet().overlaps(5, 5)
