@@ -18,7 +18,7 @@ from .refinement import (RefineContext, merge_adjacent, move_boundary,
                          refine_all)
 from .scanning import (Candidate, CandidateTable, ScanConfig,
                        predicted_op_counts, scan, window_lengths)
-from .selection import BoundarySet, select_nonoverlapping
+from .selection import select_nonoverlapping
 from .significance import (SegmentationResult, apply_biological_cutoff,
                            bh_select_log, finalize)
 from .simulation import (PlantedSegment, SimSpec, benchmark_suite,
@@ -30,12 +30,12 @@ from .stats import (NoiseModel, OpCounter, PrefixSums, build_prefix_sums,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundarySet", "Candidate", "CandidateTable", "DegenerateScaleError",
-    "EvalReport", "NoiseModel", "OpCounter", "PlantedSegment", "PrefixSums",
-    "Profile", "ProfileParseError", "RefineContext", "ScanConfig",
-    "SegmentRecord", "SegmentationResult", "SegscanError", "SimSpec",
-    "ValidationError", "apply_biological_cutoff", "benchmark_suite",
-    "bh_select_log", "brute_force_segment", "build_prefix_sums",
+    "Candidate", "CandidateTable", "DegenerateScaleError", "EvalReport",
+    "NoiseModel", "OpCounter", "PlantedSegment", "PrefixSums", "Profile",
+    "ProfileParseError", "RefineContext", "ScanConfig", "SegmentRecord",
+    "SegmentationResult", "SegscanError", "SimSpec", "ValidationError",
+    "apply_biological_cutoff", "benchmark_suite", "bh_select_log",
+    "brute_force_segment", "build_prefix_sums",
     "enumerate_candidates_dense", "estimate_sigma_mad", "finalize",
     "greedy_disjoint", "log_p_value", "merge_adjacent", "move_boundary",
     "parse_profile", "positions_mask", "predicted_op_counts",

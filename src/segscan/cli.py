@@ -7,6 +7,7 @@ Subcommands: segment, simulate, evaluate, bench. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import logging
 import os
 import statistics
@@ -15,7 +16,6 @@ import tempfile
 import time
 import traceback
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -190,7 +190,7 @@ def _cmd_segment(args) -> int:
     work = [(str(p), args.format, cfg, args.sigma, args.out_format) for p in inputs]
     workers = min(args.jobs, len(inputs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_segment_one, *item) for item in work]
             outcomes = [future.result() for future in futures]
     else:

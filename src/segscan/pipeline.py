@@ -7,12 +7,11 @@ from .refinement import RefineContext, merge_adjacent, refine_all
 from .scanning import ScanConfig, scan
 from .selection import select_nonoverlapping
 from .significance import SegmentationResult, finalize
-from .stats import NoiseModel, OpCounter, build_prefix_sums, estimate_sigma_mad
+from .stats import NoiseModel, build_prefix_sums, estimate_sigma_mad
 
 
 def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
-                    sigma: float | None = None, counter: OpCounter | None = None,
-                    trace: list | None = None) -> SegmentationResult:
+                    sigma: float | None = None, trace: list | None = None) -> SegmentationResult:
     """Segment one profile and return the finalized result.
 
     Parameters
@@ -24,8 +23,6 @@ def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
     sigma : float, optional
         Known noise scale; overrides MAD estimation. Required for profiles
         whose MAD is zero.
-    counter : OpCounter, optional
-        Collects summation-operation counts for the prefix build and scan.
     trace : list, optional
         Collects accepted refinement and merge moves.
     """
@@ -34,8 +31,8 @@ def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
         noise = NoiseModel(sigma=sigma, background=cfg.background)
     else:
         noise = estimate_sigma_mad(profile, cfg.background)
-    ps = build_prefix_sums(profile, counter)
-    candidates = scan(profile, ps, noise, cfg, counter=counter)
+    ps = build_prefix_sums(profile)
+    candidates = scan(profile, ps, noise, cfg)
     selected = select_nonoverlapping(candidates, p_s=cfg.p_s)
     ctx = RefineContext(ps=ps, noise=noise, cfg=cfg, trace=trace)
     refined = refine_all(ctx, selected)

@@ -5,7 +5,8 @@ Supported input formats:
 * ``plain``: one float per line.
 * ``tsv``: three tab-separated columns (label, position, value).
 * ``bedgraph``: standard 4-column chrom/start/end/value; every interval row
-  contributes exactly one measurement, with its start used as the position.
+  contributes exactly one measurement, with its start used as the position
+  and an integer end above the start required.
 
 Comment lines (leading ``#``) and ``track`` lines (first whitespace-delimited
 token exactly ``track``) are skipped. Missing or non-numeric values ("",
@@ -99,10 +100,7 @@ def _decode(source) -> str:
             raise ProfileParseError(f"input is not UTF-8 text: {exc}") from None
     if isinstance(source, str):
         return source
-    data = source.read()
-    if isinstance(data, bytes):
-        return _decode(data)
-    return data
+    raise ValidationError(f"expected str or bytes input, got {type(source).__name__}")
 
 
 def _skip(line: str) -> bool:
@@ -131,9 +129,9 @@ def parse_profile(source, format: str = "plain") -> Profile:
 
     The file is parsed in one bulk pass. Input the bulk pass does not cover
     exactly (a skipped line past the leading header, a row with extra or
-    missing fields, a bad or non-finite number, mixed labels, positions
-    that do not increase, no data) goes to the line-by-line parser, which
-    reports the offending line.
+    missing fields, a bad or non-finite number, a bedGraph end not above
+    its start, mixed labels, positions that do not increase, no data) goes
+    to the line-by-line parser, which reports the offending line.
     """
     if format not in _LAYOUTS:
         raise ValidationError(f"unknown profile format {format!r}")
@@ -179,6 +177,10 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
         try:
             positions[rows] = list(map(int, fields[1::n_fields]))
             values[rows] = list(map(float, fields[value_col::n_fields]))
+            if format == "bedgraph":
+                ends = np.array(list(map(int, fields[2::n_fields])), np.int64)
+                if not (ends > positions[rows]).all():
+                    return None
         except (ValueError, OverflowError):
             return None
     if not (np.isfinite(values).all() and (positions[1:] > positions[:-1]).all()):
@@ -187,6 +189,16 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
 
 
 _INT64 = np.iinfo(np.int64)
+
+
+def _parse_int(token: str, name: str, lineno: int) -> int:
+    try:
+        value = int(token)
+    except ValueError:
+        raise ProfileParseError(f"malformed {name} field {token!r}", line=lineno) from None
+    if not _INT64.min <= value <= _INT64.max:
+        raise ProfileParseError(f"{name} {token!r} does not fit a 64-bit integer", line=lineno)
+    return value
 
 
 def _parse_lines(text: str, format: str) -> Profile:
@@ -218,16 +230,14 @@ def _parse_lines(text: str, format: str) -> Profile:
             raise ProfileParseError(
                 f"multiple labels in one file ({label!r} then {row_label!r}); "
                 "segment one profile at a time", line=lineno)
-        try:
-            position = int(pos_token)
-        except ValueError:
-            raise ProfileParseError(f"malformed position field {pos_token!r}", line=lineno) from None
-        if not _INT64.min <= position <= _INT64.max:
-            raise ProfileParseError(f"position {pos_token!r} does not fit a 64-bit integer",
-                                    line=lineno)
+        position = _parse_int(pos_token, "position", lineno)
         if positions and position <= positions[-1]:
             raise ProfileParseError("positions must be strictly increasing "
                                     f"({positions[-1]} then {position})", line=lineno)
+        if format == "bedgraph":
+            end = _parse_int(fields[2], "end", lineno)
+            if end <= position:
+                raise ProfileParseError(f"end {end} is not above start {position}", line=lineno)
         positions.append(position)
         values.append(_parse_value(value_token, lineno))
 

@@ -119,8 +119,7 @@ class CandidateTable:
 
     ``start`` and ``end`` are int64, ``z`` and ``log_p`` float64, all of one
     length. ``scan`` sets the row order with one stable sort on log_p over
-    rows that arrive longest scale first; ``from_candidates`` sorts objects
-    given in any order by all three keys. ``candidate(i)`` builds the
+    rows that arrive longest scale first. ``candidate(i)`` builds the
     Candidate of row ``i``; stages that need only a few rows as objects
     (selection) build just those.
     """
@@ -136,18 +135,6 @@ class CandidateTable:
     def candidate(self, i: int) -> Candidate:
         return Candidate(int(self.start[i]), int(self.end[i]), float(self.z[i]),
                          float(self.log_p[i]))
-
-    @classmethod
-    def from_candidates(cls, candidates) -> "CandidateTable":
-        """Table of Candidate objects given in any order."""
-        cands = list(candidates)
-        start = np.array([c.start for c in cands], dtype=np.int64)
-        end = np.array([c.end for c in cands], dtype=np.int64)
-        log_p = np.array([c.log_p for c in cands], dtype=np.float64)
-        # lexsort's last key is the primary one
-        order = np.lexsort((start, start - end, log_p))
-        return cls(start[order], end[order],
-                   np.array([c.z for c in cands], dtype=np.float64)[order], log_p[order])
 
 
 def window_lengths(cfg: ScanConfig) -> list[int]:

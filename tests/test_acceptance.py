@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from segscan import (Candidate, CandidateTable, NoiseModel, Profile, ScanConfig,
+from segscan import (Candidate, NoiseModel, Profile, ScanConfig,
                      bh_select_log, brute_force_segment, build_prefix_sums,
                      enumerate_candidates_dense, estimate_sigma_mad, finalize,
                      greedy_disjoint, positions_mask, predicted_op_counts,
@@ -20,6 +20,8 @@ from segscan import (Candidate, CandidateTable, NoiseModel, Profile, ScanConfig,
                      simulate, benchmark_suite, PlantedSegment, SimSpec)
 from segscan.cli import main
 from segscan.stats import OpCounter, log_p_value_batch, segment_stats
+
+from candidate_tables import table_from_candidates
 
 
 def _passed(criterion, detail=""):
@@ -122,7 +124,7 @@ def test_c04_greedy_selection_property():
             end = start + int(rng.integers(1, 50))
             log_p = float(np.log(rng.uniform(1e-15, 1e-3)))
             candidates.append(Candidate(start, end, 5.0, log_p))
-        picked = select_nonoverlapping(CandidateTable.from_candidates(candidates))
+        picked = select_nonoverlapping(table_from_candidates(candidates))
         chosen = {c.interval for c in picked}
         committed = []
         for cand in sorted(candidates, key=lambda c: c.sort_key):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
@@ -193,7 +194,7 @@ class TestSegment:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         paths = [str(_write_profile(tmp_path / f"p{i}.txt", seed=20 + i)) for i in range(2)]
         out_dir = tmp_path / "out"
         assert main(["segment", *paths, "--output", str(out_dir), "--jobs", "64"]) == 0
@@ -239,7 +240,7 @@ class TestSegment:
         def no_pool(max_workers):
             raise AssertionError(f"a pool of {max_workers} started for one input")
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         path = _write_profile(tmp_path / "p.txt", seed=33)
         assert main(["segment", str(path), "--jobs", "4"]) == 0
         assert capsys.readouterr().out.startswith("#label")
@@ -394,10 +395,13 @@ class TestEvaluateAndBench:
         assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy.special once took most of every CLI process's start-up; nothing
-    # the program imports may bring it back
-    code = "import sys, segscan.cli; print([m for m in sys.modules if m.partition('.')[0] == 'scipy'])"
+@pytest.mark.parametrize("package", ["scipy", "concurrent.futures.process"])
+def test_cli_import_does_not_load(package):
+    # scipy.special once took most of every CLI process's start-up, and the
+    # process pool machinery (~15 ms) serves only --jobs with several inputs;
+    # importing the CLI may bring in neither
+    code = ("import sys, segscan.cli; "
+            f"print([m for m in sys.modules if (m + '.').startswith({package + '.'!r})])")
     env = dict(os.environ, PYTHONPATH=str(Path(segscan.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from segscan import (NoiseModel, Profile, ProfileParseError, ScanConfig,
                      SegmentRecord, SegscanError, ValidationError, parse_profile,
-                     read_segments, write_segments)
+                     read_segments, read_truth_manifest, write_segments)
 from segscan.profiles import _parse_lines
 from segscan.significance import SegmentationResult
 
@@ -128,6 +129,26 @@ def test_non_increasing_position_names_its_line(parse, fmt, third, previous):
     assert str(err.value) == f"line 4: positions must be strictly increasing ({previous} then {third})"
 
 
+@pytest.mark.parametrize("parse", [parse_profile, _parse_lines], ids=["bulk", "loop"])
+@pytest.mark.parametrize("text, message", [
+    ("c\t0\tabc\t0.5\nc\t10\t5\t0.25\n", "line 1: malformed end field 'abc'"),
+    ("c\t0\t10\t0.5\nc\t10\t5\t0.25\n", "line 2: end 5 is not above start 10"),
+    ("c\t0\t10\t0.5\nc\t10\t10\t0.25\n", "line 2: end 10 is not above start 10"),
+    ("c\t0\t10\t0.5\nc\t10\t9223372036854775808\t0.25\n",
+     "line 2: end '9223372036854775808' does not fit a 64-bit integer"),
+], ids=["malformed", "below", "equal", "beyond-int64"])
+def test_bad_bedgraph_end_names_its_line(parse, text, message):
+    with pytest.raises(ProfileParseError) as err:
+        parse(text, "bedgraph")
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("read", [parse_profile, read_segments, read_truth_manifest])
+def test_source_must_be_str_or_bytes(read):
+    with pytest.raises(ValidationError, match="expected str or bytes input, got BytesIO"):
+        read(io.BytesIO(b"1.0\n"))
+
+
 class TestUnknownFormat:
     @pytest.mark.parametrize("data", [b"# x\n", b"1.0\n"])
     def test_rejected_before_any_line_is_read(self, data):
@@ -161,7 +182,7 @@ def _profile_texts(draw):
     pad = st.sampled_from(["", " ", "  ", "\u00a0"])
     # a clean text takes the bulk pass; a defect on some rows makes it defer
     defect = draw(st.sampled_from([None, "nonfinite", "malformed", "fields", "label",
-                                   "position", "order", "skipped"]))
+                                   "position", "order", "end", "skipped"]))
     hit = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))) if defect else ()
     rows = []
     for i, (value, pos) in enumerate(zip(values, positions)):
@@ -180,6 +201,9 @@ def _profile_texts(draw):
             fields[1] = draw(st.sampled_from(["+5", "1_000", " 12", "x", "", str(2 ** 70)]))
         elif i in hit and defect == "order" and i > 0:
             fields[1] = str(positions[i - 1] - draw(st.integers(0, 3)))
+        elif i in hit and defect == "end" and fmt == "bedgraph":
+            fields[2] = draw(st.sampled_from(["abc", "", "1.5", str(pos), str(pos - 7),
+                                              str(2 ** 70)]))
         rows.append("\t".join(fields))
     if defect == "skipped":
         for i in sorted(hit, reverse=True):
@@ -199,6 +223,7 @@ class TestBulkParse:
     # the tab total is right (4 on 2 rows) but row 2 is short
     @example(case=("c\t1\t0.5\tc\n2\t0.75\n", "tsv"))
     @example(case=("c\t0\t50\t0.5\t9\nc\t50\t0.25\n", "bedgraph"))
+    @example(case=("c\t0\tabc\t0.5\nc\t10\t5\t0.25\n", "bedgraph"))
     def test_matches_line_loop(self, case):
         text, fmt = case
         assert _outcome(parse_profile, text, fmt) == _outcome(_parse_lines, text, fmt)
@@ -213,6 +238,8 @@ class TestBulkParse:
         (2048, "chrX\t20480\t20490\t0.5\tname"),
         (1024, "chrX\t1e4\t10250\t0.5"),
         (2047, ""),
+        (2600, "chrX\t26000\t26000\t0.5"),
+        (1100, "chrX\t11000\tend\t0.5"),
     ])
     def test_late_block_defect_matches_line_loop(self, row, line):
         rows = [f"chrX\t{10 * i}\t{10 * i + 10}\t{i / 7!r}" for i in range(3000)]

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from segscan import (BoundarySet, Candidate, CandidateTable, ValidationError,
-                     greedy_disjoint, select_nonoverlapping, selection)
+from segscan import (Candidate, ValidationError, greedy_disjoint,
+                     select_nonoverlapping, selection)
+from segscan.selection import BoundarySet
+
+from candidate_tables import table_from_candidates
 
 
 def _cand(start, end, p):
@@ -15,7 +18,7 @@ def _cand(start, end, p):
 
 
 def _select(candidates):
-    return select_nonoverlapping(CandidateTable.from_candidates(candidates))
+    return select_nonoverlapping(table_from_candidates(candidates))
 
 
 def _random_candidates(rng, count, n=200):
@@ -45,6 +48,11 @@ class TestBoundarySet:
         bs.insert(10, 20)
         assert not bs.overlaps(20, 25)
         assert not bs.overlaps(0, 10)
+        # touching intervals store their shared edge 10 twice
+        bs.insert(0, 10)
+        assert bs.overlaps(9, 10)
+        assert bs.overlaps(10, 11)
+        assert not bs.overlaps(20, 21)
 
     def test_containment(self):
         bs = BoundarySet()
@@ -61,6 +69,24 @@ class TestBoundarySet:
     def test_empty_query_rejected(self):
         with pytest.raises(ValidationError):
             BoundarySet().overlaps(5, 5)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 8), st.booleans()),
+                    max_size=40))
+    def test_matches_linear_scan(self, ops):
+        # random inserts and queries on a short axis, so touching and nested
+        # intervals are common
+        bs, stored = BoundarySet(), []
+        for start, length, store in ops:
+            end = start + length
+            expected = any(start < e and s < end for s, e in stored)
+            if store:
+                assert bs.add(start, end) is not expected
+                if not expected:
+                    stored.append((start, end))
+            else:
+                assert bs.overlaps(start, end) is expected
+            assert bs.edges[:-1] == sorted(x for iv in stored for x in iv)
 
 
 class TestSelect:
@@ -139,13 +165,14 @@ def _pools(draw):
     return [Candidate(s, e, 1.0, lp) for (s, e), lp in pool.items()]
 
 
-@pytest.mark.parametrize("block_rows", [1, 3])
+@pytest.mark.parametrize("block_rows", [1, 3, 2048])
 @settings(max_examples=150, deadline=None)
 @given(pool=_pools())
 def test_blocked_select_matches_greedy_oracle(block_rows, pool):
     # blocks of a few rows make every example span many blocks, so the
-    # prefilter against earlier blocks decides most rejections
+    # prefilter against earlier blocks decides most rejections; one block
+    # of 2048 leaves every row to the survivor walk
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(selection, "BLOCK_ROWS", block_rows)
-        got = select_nonoverlapping(CandidateTable.from_candidates(pool))
+        got = select_nonoverlapping(table_from_candidates(pool))
     assert got == greedy_disjoint(pool)
