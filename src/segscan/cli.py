@@ -264,15 +264,15 @@ def _cmd_bench(args) -> int:
     total = 0.0
     for profile_id in sorted(truth):
         path = suite_dir / f"{profile_id}.txt"
-        t0 = time.perf_counter()
         with _naming(path):
-            profile = read_profile(path, format="plain")
-        parse_seconds = time.perf_counter() - t0
-        times = []
-        for _ in range(args.repetitions):
             t0 = time.perf_counter()
-            segment_profile(profile)
-            times.append(time.perf_counter() - t0)
+            profile = read_profile(path, format="plain")
+            parse_seconds = time.perf_counter() - t0
+            times = []
+            for _ in range(args.repetitions):
+                t0 = time.perf_counter()
+                segment_profile(profile)
+                times.append(time.perf_counter() - t0)
         seconds = statistics.median(times)
         total += seconds
         rows.append(f"{profile_id}\t{len(profile)}\t{parse_seconds:.6f}\t{seconds:.6f}")

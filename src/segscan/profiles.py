@@ -8,10 +8,10 @@ Supported input formats:
   contributes exactly one measurement, with its start used as the position
   and an integer end above the start required.
 
-Comment lines (leading ``#``) and ``track`` lines (first whitespace-delimited
-token exactly ``track``) are skipped. Missing or non-numeric values ("",
-"NA", "nan") and positions that do not increase are rejected with the
-offending line number, never imputed or reordered.
+Columns past the value, comment lines (leading ``#``) and ``track`` lines
+(first whitespace-delimited token exactly ``track``) are skipped. Missing or
+non-numeric values ("", "NA", "nan") and positions that do not increase are
+rejected with the offending line number, never imputed or reordered.
 
 The segment table is written with 6 significant digits for the float columns
 (mean, z, p_value); the ``bed`` variant is the same rows without the header.
@@ -53,7 +53,10 @@ class Profile:
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.positions is not None:
-            positions = np.asarray(self.positions, dtype=np.int64)
+            with np.errstate(invalid="ignore"):  # NaN and huge floats fail the check
+                positions = np.asarray(self.positions).astype(np.int64, copy=False)
+            if not (positions == self.positions).all():
+                raise ValidationError("positions must be integers")
             if positions.shape != values.shape:
                 raise ValidationError("positions and values must have the same length")
             if not (positions[1:] > positions[:-1]).all():
@@ -118,22 +121,21 @@ def _parse_value(token: str, lineno: int) -> float:
     return value
 
 
-# fields per data row and the column holding the value; tsv and bedGraph rows
-# carry the label in column 0 and the position in column 1
-_LAYOUTS = {"plain": (1, 0), "tsv": (3, 2), "bedgraph": (4, 3)}
-_BLOCK_ROWS = 1024
+# numeric columns of a tsv or bedGraph row and their types; the label is text
+_COLUMNS = {"tsv": ((1, 2), [("position", "i8"), ("value", "f8")]),
+            "bedgraph": ((1, 2, 3), [("position", "i8"), ("end", "i8"), ("value", "f8")])}
 
 
 def parse_profile(source, format: str = "plain") -> Profile:
     """Parse a text profile in ``plain``, ``tsv``, or ``bedgraph`` format.
 
     The file is parsed in one bulk pass. Input the bulk pass does not cover
-    exactly (a skipped line past the leading header, a row with extra or
-    missing fields, a bad or non-finite number, a bedGraph end not above
-    its start, mixed labels, positions that do not increase, no data) goes
-    to the line-by-line parser, which reports the offending line.
+    exactly (non-ASCII tsv or bedGraph text, a skipped line past the leading
+    header, a row with missing fields, a bad or non-finite number, a bedGraph
+    end not above its start, mixed labels, positions that do not increase, no
+    data) goes to the line-by-line parser, which reports the offending line.
     """
-    if format not in _LAYOUTS:
+    if format != "plain" and format not in _COLUMNS:
         raise ValidationError(f"unknown profile format {format!r}")
     text = _decode(source)
     profile = _parse_bulk(text, format)
@@ -141,7 +143,10 @@ def parse_profile(source, format: str = "plain") -> Profile:
 
 
 def _parse_bulk(text: str, format: str) -> Profile | None:
-    """Return the Profile ``_parse_lines`` would return, or None to defer to it."""
+    """Return the Profile ``_parse_lines`` would return, or None to defer to it.
+
+    Non-ASCII tsv and bedGraph text defers; columns past the value are ignored.
+    """
     lines = text.splitlines()
     first = 0
     while first < len(lines) and _skip(lines[first]):
@@ -157,32 +162,24 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
         except ValueError:
             return None
         return Profile(values) if np.isfinite(values).all() else None
-    # Rows with exactly n_fields fields only: extra columns are legal but
-    # rare, and the loop handles them. A skipped line inside the body never
-    # gets through: it has a label other than the first row's, or a
-    # position int() rejects.
-    n_fields, value_col = _LAYOUTS[format]
-    if set(map(str.count, body, repeat("\t"))) != {n_fields - 1}:
+    # numpy's int parser reads non-ASCII text int() rejects ("5\u01fe" as 512),
+    # and it strips "\x1f" as whitespace where int() and float() reject it
+    if not text.isascii() or "\x1f" in text:
         return None
+    # A skipped line inside the body never gets through: it has a label
+    # other than the first row's, or a position the reader rejects.
     label = body[0].partition("\t")[0]
-    values = np.empty(len(body))
-    positions = np.empty(len(body), dtype=np.int64)
-    # split a bounded block of rows at a time: one str per field of the
-    # whole file would cost several times the file's size in memory
-    for lo in range(0, len(body), _BLOCK_ROWS):
-        fields = "\t".join(body[lo:lo + _BLOCK_ROWS]).split("\t")
-        if set(fields[0::n_fields]) != {label}:
-            return None
-        rows = slice(lo, lo + _BLOCK_ROWS)
-        try:
-            positions[rows] = list(map(int, fields[1::n_fields]))
-            values[rows] = list(map(float, fields[value_col::n_fields]))
-            if format == "bedgraph":
-                ends = np.array(list(map(int, fields[2::n_fields])), np.int64)
-                if not (ends > positions[rows]).all():
-                    return None
-        except (ValueError, OverflowError):
-            return None
+    if not all(map(str.startswith, body, repeat(label + "\t"))):
+        return None
+    usecols, dtype = _COLUMNS[format]
+    try:
+        rows = np.loadtxt(body, dtype=dtype, delimiter="\t", comments=None, quotechar=None,
+                          usecols=usecols, ndmin=1)
+    except ValueError:
+        return None
+    positions, values = rows["position"], rows["value"]
+    if format == "bedgraph" and not (rows["end"] > positions).all():
+        return None
     if not (np.isfinite(values).all() and (positions[1:] > positions[:-1]).all()):
         return None
     return Profile(values, positions=positions, label=label)
@@ -305,10 +302,12 @@ def read_segments(source) -> list[SegmentRecord]:
             mean, z, p = float(fields[3]), float(fields[4]), float(fields[5])
             if not (0.0 <= p <= 1.0):
                 raise ValueError(f"p_value {p} outside [0, 1]")
-            significant = fields[6].strip() in ("1", "True", "true")
+            flag = fields[6].strip()
+            if flag not in ("1", "True", "true", "0", "False", "false"):
+                raise ValueError(f"malformed significant field {fields[6]!r}")
             records.append(SegmentRecord(start=start, end=end, mean=mean, z=z,
                                          log_p=math.log(p) if p > 0 else -math.inf,
-                                         significant=significant))
+                                         significant=flag in ("1", "True", "true")))
         except (ValueError, ValidationError) as exc:
             raise ProfileParseError(str(exc), line=lineno) from None
     return records

@@ -164,7 +164,8 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     Parameters
     ----------
     profile : Profile
-        The validated input profile (used only for its length).
+        Not read: the scan takes the length and sums from ``ps``. Kept so
+        that callers passing the arguments positionally still work.
     ps : PrefixSums
         Prefix sums of the profile values.
     noise : NoiseModel

@@ -378,15 +378,19 @@ class TestEvaluateAndBench:
         # columns are printed with 6 decimals, so allow rounding slop
         assert total == pytest.approx(sum(per_profile), abs=1e-4)
 
-    def test_bench_bad_profile_names_the_file(self, suite_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("text, message", [
+        ("0.5\nNA\n0.25\n", "line 2: malformed numeric field 'NA'"),
+        ("0.5\n" * 20, "MAD is zero"),
+    ], ids=["parse", "segment"])
+    def test_bench_bad_profile_names_the_file(self, suite_dir, tmp_path, capsys, text, message):
         suite = tmp_path / "suite"
         suite.mkdir()
         for path in suite_dir.iterdir():
             (suite / path.name).write_bytes(path.read_bytes())
         bad = suite / "profile_03.txt"
-        bad.write_text("0.5\nNA\n0.25\n")
+        bad.write_text(text)
         assert main(["bench", "--suite", str(suite), "--repetitions", "1"]) == 2
-        assert f"{bad}: line 2: malformed numeric field 'NA'" in capsys.readouterr().err
+        assert f"segscan: error: {bad}: {message}" in capsys.readouterr().err
 
     def test_bench_bad_manifest_names_the_file(self, tmp_path, capsys):
         truth = tmp_path / "truth.tsv"

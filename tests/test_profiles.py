@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from segscan import (NoiseModel, Profile, ProfileParseError, ScanConfig,
                      SegmentRecord, SegscanError, ValidationError, parse_profile,
                      read_segments, read_truth_manifest, write_segments)
+from segscan import profiles
 from segscan.profiles import _parse_lines
 from segscan.significance import SegmentationResult
 
@@ -179,7 +180,7 @@ def _profile_texts(draw):
     values = [repr(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                              min_size=n, max_size=n))]
     positions = np.cumsum(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))).tolist()
-    pad = st.sampled_from(["", " ", "  ", "\u00a0"])
+    pad = st.sampled_from(["", " ", "  ", "\u00a0", "\x1f"])
     # a clean text takes the bulk pass; a defect on some rows makes it defer
     defect = draw(st.sampled_from([None, "nonfinite", "malformed", "fields", "label",
                                    "position", "order", "end", "skipped"]))
@@ -198,7 +199,8 @@ def _profile_texts(draw):
         elif i in hit and defect == "label":
             fields[0] = draw(st.sampled_from(["chr2", "tracking"]))
         elif i in hit and defect == "position":
-            fields[1] = draw(st.sampled_from(["+5", "1_000", " 12", "x", "", str(2 ** 70)]))
+            fields[1] = draw(st.sampled_from(["+5", "1_000", " 12", "x", "", str(2 ** 70),
+                                              "5\u01fe", "\u0663"]))
         elif i in hit and defect == "order" and i > 0:
             fields[1] = str(positions[i - 1] - draw(st.integers(0, 3)))
         elif i in hit and defect == "end" and fmt == "bedgraph":
@@ -213,6 +215,10 @@ def _profile_texts(draw):
     return text[:-1] if draw(st.booleans()) else text, fmt
 
 
+def _no_line_loop(text, fmt):
+    raise AssertionError("the bulk pass deferred to the line loop")
+
+
 class TestBulkParse:
     # the bulk pass must return exactly what the line loop returns, or
     # defer to it, so every error keeps its message and line number
@@ -224,12 +230,19 @@ class TestBulkParse:
     @example(case=("c\t1\t0.5\tc\n2\t0.75\n", "tsv"))
     @example(case=("c\t0\t50\t0.5\t9\nc\t50\t0.25\n", "bedgraph"))
     @example(case=("c\t0\tabc\t0.5\nc\t10\t5\t0.25\n", "bedgraph"))
+    # numpy's reader takes "5\u01fe" for 512 and strips "\x1f"; int() and
+    # float() reject both, and int() reads the Arabic-Indic digit as 3
+    @example(case=("c\t5\u01fe\t0.5\n", "tsv"))
+    @example(case=("c\t1\t0.5\nc\t\u0663\t0.25\n", "tsv"))
+    @example(case=("c\t0\t50\t\x1f0.5\n", "bedgraph"))
+    @example(case=("c\t\x1f7\t0.5\n", "tsv"))
+    @example(case=("0.5\x1f\n1.5\n", "plain"))
     def test_matches_line_loop(self, case):
         text, fmt = case
         assert _outcome(parse_profile, text, fmt) == _outcome(_parse_lines, text, fmt)
 
-    # rows are split in blocks; a defect deep in a later block must still
-    # reach the line loop (the first case has no defect)
+    # a defect on one row deep in a long file must still reach the line
+    # loop (the first case has no defect)
     @pytest.mark.parametrize("row, line", [
         (0, "chrX\t0\t10\t0.0"),
         (2500, "chrY\t25000\t25010\t0.5"),
@@ -247,6 +260,27 @@ class TestBulkParse:
         text = "track type=bedGraph\n" + "\n".join(rows) + "\n"
         assert (_outcome(parse_profile, text, "bedgraph")
                 == _outcome(_parse_lines, text, "bedgraph"))
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("tsv", "c\t10\t0.5\tname\nc\t20\t0.25\n"),
+        ("bedgraph", "track x\nc\t0\t50\t0.5\t+\nc\t50\t100\t0.25\t-\t9\n"),
+    ])
+    def test_extra_columns_take_the_bulk_pass(self, monkeypatch, fmt, text):
+        expected = _parse_lines(text, fmt)
+        monkeypatch.setattr(profiles, "_parse_lines", _no_line_loop)
+        profile = parse_profile(text, fmt)
+        assert profile.positions.tolist() == expected.positions.tolist()
+        assert profile.values.tolist() == expected.values.tolist() == [0.5, 0.25]
+
+    @pytest.mark.parametrize("fmt, text", [
+        ("tsv", "# r\u00e9gion\nc\t10\t0.5\nc\t20\t0.25\n"),
+        ("bedgraph", "chr\u00c5\t0\t50\t0.5\n"),
+    ])
+    def test_non_ascii_text_goes_to_the_line_loop(self, monkeypatch, fmt, text):
+        def loadtxt(*args, **kwargs):
+            raise AssertionError("non-ASCII text reached the bulk reader")
+        monkeypatch.setattr(profiles.np, "loadtxt", loadtxt)
+        assert parse_profile(text, fmt).values[0] == 0.5
 
     def test_late_error_keeps_its_line_number(self):
         lines = ["0.5"] * 100_000
@@ -266,6 +300,17 @@ class TestProfileInvariants:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError):
             Profile([1.0, math.inf])
+
+    @pytest.mark.parametrize("positions", [[0.5, 1.7, 2.2], [0.0, 1.0, math.nan],
+                                           [0.0, 1.0, 1e30]])
+    def test_non_integral_positions_rejected(self, positions):
+        with pytest.raises(ValidationError, match="positions must be integers"):
+            Profile([1.0, 2.0, 3.0], positions=positions)
+
+    def test_integral_float_positions_accepted(self):
+        profile = Profile([1.0, 2.0, 3.0], positions=np.array([0.0, 10.0, 2.0 ** 62]))
+        assert profile.positions.dtype == np.int64
+        assert profile.positions.tolist() == [0, 10, 2 ** 62]
 
     def test_positions_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -349,6 +394,20 @@ class TestRoundTrip:
             assert parsed.z == pytest.approx(original.z, rel=1e-5)
             assert parsed.p_value == pytest.approx(original.p_value, rel=1e-5)
             assert parsed.significant == original.significant
+
+    @pytest.mark.parametrize("flag, significant", [
+        ("1", True), ("True", True), ("true", True), ("0", False), ("False", False),
+        ("false", False)])
+    def test_significant_flags(self, flag, significant):
+        (record,) = read_segments(f"c\t0\t5\t1\t2\t0.5\t{flag}\n")
+        assert record.significant is significant
+
+    @pytest.mark.parametrize("flag", ["maybe", "2", "", "yes"])
+    def test_unknown_significant_flag_names_its_line(self, flag):
+        text = f"#header\nc\t0\t5\t1\t2\t0.5\t1\nc\t5\t9\t1\t2\t0.5\t{flag}\n"
+        with pytest.raises(ProfileParseError) as err:
+            read_segments(text)
+        assert str(err.value) == f"line 3: malformed significant field {flag!r}"
 
     def test_tiny_p_clamps_not_zero(self):
         record = SegmentRecord(start=0, end=5, mean=9.0, z=50.0,
