@@ -14,8 +14,7 @@ from .evaluation import (EvalReport, brute_force_segment,
 from .pipeline import segment_profile
 from .profiles import (Profile, SegmentRecord, parse_profile, read_profile,
                        read_segments, write_segments)
-from .refinement import (RefineContext, merge_adjacent, move_boundary,
-                         refine_all)
+from .refinement import RefineContext, merge_adjacent, refine_all
 from .scanning import (Candidate, CandidateTable, ScanConfig,
                        predicted_op_counts, scan, window_lengths)
 from .selection import select_nonoverlapping
@@ -37,7 +36,7 @@ __all__ = [
     "apply_biological_cutoff", "benchmark_suite", "bh_select_log",
     "brute_force_segment", "build_prefix_sums",
     "enumerate_candidates_dense", "estimate_sigma_mad", "finalize",
-    "greedy_disjoint", "log_p_value", "merge_adjacent", "move_boundary",
+    "greedy_disjoint", "log_p_value", "merge_adjacent",
     "parse_profile", "positions_mask", "predicted_op_counts",
     "read_profile", "read_segments", "read_truth_manifest", "refine_all",
     "scan", "score", "segment_profile", "segment_stats",

@@ -13,7 +13,11 @@ z and log p kernels, which give the scalar kernels' values bit for bit;
 shorter gaps are scored one boundary at a time. Proposals never cross a
 committed neighbor or the profile edge; they are truncated to the nearest
 legal boundary. The moves run in a cycle and stop once four in a row leave
-the segment unchanged.
+the segment unchanged. Most selected segments never move: before the walk,
+one batch over all of them (_quiet_limits) scores every boundary their
+first four moves would score, and a segment none of those improves is kept
+as it is, without running the moves, while its limits give it no more room
+than the batch checked.
 
 The segments are kept in one list sorted by start. They are disjoint and a
 refined segment stays between its neighbors, so the list never reorders,
@@ -97,9 +101,9 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
         for boundary in range(lo, hi) if left else range(hi - 1, lo - 1, -1):
             start, end = (boundary, cur.end) if left else (cur.start, boundary)
             _, z, log_p = segment_stats(ctx.ps, ctx.noise, start, end, ctx.cfg.sides)
-            if best is None or log_p < best.log_p:
-                best = Candidate(start, end, z, log_p)
-        return best
+            if best is None or log_p < best[3]:
+                best = (start, end, z, log_p)
+        return Candidate(*best)
     cum = ctx.ps.cumulative
     if left:
         boundary = np.arange(lo, hi)
@@ -140,8 +144,10 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
         if step <= 0:
             break
         proposal = edge + sign * step
-        jumped = ctx.stat(proposal, cur.end) if left else ctx.stat(cur.start, proposal)
-        if jumped.log_p < cur.log_p:
+        start, end = (proposal, cur.end) if left else (cur.start, proposal)
+        _, z, log_p = segment_stats(ctx.ps, ctx.noise, start, end, ctx.cfg.sides)
+        if log_p < cur.log_p:
+            jumped = Candidate(start, end, z, log_p)
             ctx._record(op, cur, jumped)
             cur = jumped
             continue
@@ -170,21 +176,71 @@ def refine_segment(ctx: RefineContext, seg: Candidate, lo: int, hi: int) -> Cand
             return seg
 
 
+def _quiet_limits(ctx: RefineContext, segs: list[Candidate]) -> tuple[list[int], list[int]]:
+    """Limits (lo_ok, hi_ok) between which refine_segment leaves each segment as it is.
+
+    ``segs`` is disjoint and sorted by start. One batch scores, for every
+    segment [s, e) between its neighbors (lo the previous end or 0, hi the
+    next start or n) and for each of the four moves, every boundary the
+    move's first step scores: the jump and the skipped gap, at distance
+    1..step from the moving edge, with step = min(ceil(L/K), room) and room
+    s - lo, hi - e, or L - 1 for a shrink. A move changes the segment only
+    if one of them has a strictly smaller log p. Where none does, every
+    move is quiet, and stays quiet between limits that let each move score
+    no boundary beyond these: lo' >= lo and hi' <= hi, or any limit on a
+    side where room already held a whole step. Those bounds are returned;
+    a segment some move can change gets lo_ok = n + 1, which no limit
+    meets. At most 4 * sum(ceil(L/K)) boundaries are scored.
+    """
+    m, n = len(segs), ctx.ps.n
+    start = np.fromiter((seg.start for seg in segs), np.int64, m)
+    end = np.fromiter((seg.end for seg in segs), np.int64, m)
+    lo = np.concatenate(([0], end[:-1]))
+    hi = np.concatenate((start[1:], [n]))
+    step = -((start - end) // ctx.cfg.k_refine)
+    parts = []
+    for left, outward in MOVES.values():
+        sign = -1 if left == outward else 1
+        room = (start - lo if left else hi - end) if outward else end - start - 1
+        count = np.minimum(step, room)
+        which = np.repeat(np.arange(m), count)
+        # 1..count over each segment's run of boundaries
+        dist = np.arange(1, which.size + 1) - np.repeat(np.cumsum(count) - count, count)
+        edge = (start if left else end)[which] + sign * dist
+        parts.append((which, edge, end[which]) if left else (which, start[which], edge))
+    which, first, last = (np.concatenate(column) for column in zip(*parts))
+    cum = ctx.ps.cumulative
+    z = z_statistic_batch(cum[last] - cum[first], last - first, ctx.noise)
+    log_p = np.fromiter((seg.log_p for seg in segs), np.float64, m)
+    lo_ok = np.where(start - lo < step, lo, 0)
+    hi_ok = np.where(hi - end < step, hi, n)
+    lo_ok[which[log_p_value_batch(z, ctx.cfg.sides) < log_p[which]]] = n + 1
+    return lo_ok.tolist(), hi_ok.tolist()
+
+
 def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]:
     """Refine every selected segment, best p-value first.
 
     ``selected`` must be disjoint (ValidationError otherwise). Each segment
     refines between its neighbors in start order as they stand at that
-    moment, refined or not. Returns the refined segments sorted by start.
+    moment, refined or not. A segment whose limits at that moment lie within
+    the ones _quiet_limits found for it is kept as it is, without running
+    refine_segment, which would return it unchanged. Returns the refined
+    segments sorted by start.
     """
     segs = sorted(selected, key=lambda c: c.start)
     for a, b in zip(segs, segs[1:]):
         if a.end > b.start:
             raise ValidationError(f"segments [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap")
+    if not segs:
+        return segs
+    lo_ok, hi_ok = _quiet_limits(ctx, segs)
     last = len(segs) - 1
     for i in sorted(range(len(segs)), key=lambda i: segs[i].sort_key):
         lo = segs[i - 1].end if i > 0 else 0
         hi = segs[i + 1].start if i < last else ctx.ps.n
+        if lo >= lo_ok[i] and hi <= hi_ok[i]:
+            continue
         segs[i] = refine_segment(ctx, segs[i], lo, hi)
     return segs
 

@@ -80,7 +80,9 @@ class PrefixSums:
 
     def range_sum(self, start: int, end: int) -> float:
         """Sum of values[start:end] in O(1)."""
-        return float(self.cumulative[end] - self.cumulative[start])
+        # item() hands back Python floats; their difference is the same
+        # IEEE subtraction as on the array's doubles
+        return self.cumulative.item(end) - self.cumulative.item(start)
 
 
 def build_prefix_sums(profile, counter: OpCounter | None = None) -> PrefixSums:
@@ -105,6 +107,15 @@ def estimate_sigma_mad(profile, background: float = 0.0) -> NoiseModel:
     standard deviation under normal noise and robust to the signal segments
     themselves.
 
+    Both medians are np.median's values, bit for bit, from a one-rank
+    partition of one reused buffer. After ``partition(n // 2)`` the element
+    at n // 2 is the upper middle value, and for even n the largest element
+    below it is the lower one; np.median partitions at both ranks (and at
+    the last, to look for NaN, which a Profile never holds) and averages
+    the two middle values as (lower + upper) / 2, the same IEEE operations.
+    Only the sign of a zero median can differ, and |x - median| does not
+    see it.
+
     Raises
     ------
     DegenerateScaleError
@@ -114,14 +125,27 @@ def estimate_sigma_mad(profile, background: float = 0.0) -> NoiseModel:
     values = profile.values
     if values.size < 2:
         raise ValidationError("need at least 2 values to estimate sigma")
-    med = float(np.median(values))
-    mad = float(np.median(np.abs(values - med)))
+    buf = values.copy()
+    med = _median_in_place(buf)
+    np.subtract(values, med, out=buf)
+    np.abs(buf, out=buf)
+    mad = _median_in_place(buf)
     if mad == 0.0:
         raise DegenerateScaleError(
             "MAD is zero (more than half of the values are identical); "
             "supply sigma explicitly (--sigma on the command line)"
         )
     return NoiseModel(sigma=MAD_SCALE * mad, background=background)
+
+
+def _median_in_place(buf: np.ndarray) -> float:
+    """Median of a non-empty finite array, reordering it; see estimate_sigma_mad."""
+    k = buf.size // 2
+    buf.partition(k)
+    upper = buf.item(k)
+    if buf.size % 2:
+        return upper
+    return (buf[:k].max().item() + upper) / 2
 
 
 def z_statistic(total: float, n: int, noise: NoiseModel) -> float:

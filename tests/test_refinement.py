@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segscan import (NoiseModel, Profile, RefineContext, ScanConfig, ValidationError,
-                     build_prefix_sums, merge_adjacent, move_boundary,
-                     refine_all, refinement, scan, select_nonoverlapping)
+                     build_prefix_sums, merge_adjacent, refine_all, refinement, scan,
+                     select_nonoverlapping)
+from segscan.refinement import move_boundary
 
 #: GAP_BATCH_MIN settings that send every non-empty gap search through the
 #: batch kernels, or every one through the scalar loop.
@@ -407,6 +408,25 @@ def test_matches_set_based_reference(seed, n, blocks, sides, background, k_refin
                         _reference_merge_adjacent))
 
 
+def _nothing_quiet(ctx, segs):
+    # limits no segment meets, so every segment runs refine_segment
+    return [ctx.ps.n + 1] * len(segs), [-1] * len(segs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_PROFILES, gap_batch_min=st.sampled_from([ALL_BATCHED, ALL_SCALAR]))
+def test_quiet_segments_match_full_refinement(seed, n, blocks, sides, background, k_refine,
+                                              gap_batch_min):
+    # skipping the segments _quiet_limits clears must not change any
+    # accepted move, its z and log p bits, or any refined or merged segment
+    values = _planted(seed, n, blocks, background)
+    cfg = _config(n, sides, background, k_refine)
+    skipped = _refined(values, cfg, gap_batch_min)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refinement, "_quiet_limits", _nothing_quiet)
+        assert _refined(values, cfg, gap_batch_min) == skipped
+
+
 @pytest.mark.parametrize("pieces", [[(10, 30), (29, 40)], [(20, 40), (0, 50)],
                                     [(5, 10), (5, 12)]])
 def test_overlapping_input_raises(pieces):
@@ -432,6 +452,73 @@ class TestQuietMoveStop:
         seg = ctx.stat(10, 30)
         assert refinement.refine_segment(ctx, seg, 0, 40) == seg
         assert calls == ["expand_left", "expand_right", "shrink_left", "shrink_right"]
+
+    def test_optimal_segment_skips_every_move(self, calls):
+        ctx = _context(_block_profile(40, 10, 30, 3.0))
+        seg = ctx.stat(10, 30)
+        assert refine_all(ctx, [seg]) == [seg]
+        assert calls == []
+
+    @staticmethod
+    def _neighbors(a_end, b_start):
+        # a = [10, a_end) on a block of -5.0 over [10, 30); b = [b_start, 54)
+        # on a run of 1.0 over [30, 54), with nothing for it to the right. a
+        # has the better p and refines first, to [10, 30).
+        values = np.zeros(70)
+        values[10:30], values[30:54] = -5.0, 1.0
+        ctx = _context(values)
+        a, b = ctx.stat(10, a_end), ctx.stat(b_start, 54)
+        assert a.log_p < b.log_p
+        return ctx, a, b
+
+    @pytest.fixture
+    def refine_calls(self, monkeypatch):
+        refine_calls = []
+        refine_segment = refinement.refine_segment
+
+        def spied(ctx, seg, lo, hi):
+            refine_calls.append(seg.interval)
+            return refine_segment(ctx, seg, lo, hi)
+
+        monkeypatch.setattr(refinement, "refine_segment", spied)
+        return refine_calls
+
+    def test_quiet_segment_refines_once_its_limit_moves_away(self, refine_calls):
+        # b touches a = [10, 34), so no move of b can change it; a then
+        # shrinks to [10, 30), and b, given the room, grows left
+        ctx, a, b = self._neighbors(34, 34)
+        lo_ok, hi_ok = refinement._quiet_limits(ctx, [a, b])
+        assert lo_ok[0] == 71 and (lo_ok[1], hi_ok[1]) == (34, 70)  # a can move, b cannot
+        out = refine_all(ctx, [a, b])
+        assert [seg.interval for seg in out] == [(10, 30), (30, 54)]
+        assert refine_calls == [(10, 34), (34, 54)]
+
+    def test_quiet_segment_stays_when_its_limit_moves_closer(self, refine_calls):
+        # b = [30, 54) is quiet with a = [10, 28) ending 2 points away; a
+        # grows to [10, 30), and b, with less room than it was cleared for,
+        # is kept without a move
+        ctx, a, b = self._neighbors(28, 30)
+        lo_ok, hi_ok = refinement._quiet_limits(ctx, [a, b])
+        assert lo_ok[0] == 71 and (lo_ok[1], hi_ok[1]) == (28, 70)
+        out = refine_all(ctx, [a, b])
+        assert [seg.interval for seg in out] == [(10, 30), (30, 54)]
+        assert out[1] is b
+        assert refine_calls == [(10, 28)]
+
+    def test_quiet_segment_stays_when_it_had_a_whole_step_of_room(self, refine_calls):
+        # b = [40, 64) on a run of 1.0 had 7 points of room to a = [10, 33),
+        # more than its step of 3; a shrinks to [10, 30), and the 3 points it
+        # frees lie beyond anything b's first moves could reach
+        values = np.zeros(80)
+        values[10:30], values[40:64] = -5.0, 1.0
+        ctx = _context(values)
+        a, b = ctx.stat(10, 33), ctx.stat(40, 64)
+        lo_ok, hi_ok = refinement._quiet_limits(ctx, [a, b])
+        assert lo_ok[0] == 81 and (lo_ok[1], hi_ok[1]) == (0, 80)
+        out = refine_all(ctx, [a, b])
+        assert [seg.interval for seg in out] == [(10, 30), (40, 64)]
+        assert out[1] is b
+        assert refine_calls == [(10, 33)]
 
     def test_first_move_change_then_four_quiet_moves(self, calls):
         # expand_left recovers the planted start; the next four moves find

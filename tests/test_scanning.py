@@ -27,6 +27,18 @@ class TestScanConfig:
         with pytest.raises(ValidationError):
             ScanConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value", [
+        ("k_refine", 2.5), ("w_min", 1.5), ("w_max", True), ("k_refine", False),
+        ("k_refine", 10.0), ("w_max", np.float64(40.0)), ("w_min", "1"),
+    ])
+    def test_non_integer_sizes_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            ScanConfig(**{field: value})
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = ScanConfig(w_min=np.int64(2), w_max=np.int32(40), k_refine=np.int64(4))
+        assert (cfg.w_min, cfg.w_max, cfg.k_refine) == (2, 40, 4)
+
     def test_clamp_to_profile_length(self):
         cfg = ScanConfig(w_max=300).clamped(50)
         assert cfg.w_max == 50
@@ -279,6 +291,18 @@ class TestPrefilter:
         assert np.unique(table.log_p).size == 1
         lengths = table.end - table.start
         assert np.all(np.diff(lengths) <= 0)
+
+
+    @pytest.mark.parametrize("sides", ["one", "two"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_integer_profile_orders_ties_like_stable_sort(self, seed, sides):
+        # small integers give many windows of one length and sum, and some
+        # of different lengths with one z, so log p ties at many ranks
+        values = np.random.default_rng(seed).integers(-3, 4, size=600).astype(np.float64)
+        cfg = ScanConfig(w_max=64, p_s=0.2, sides=sides)
+        table = scan(Profile(values), build_prefix_sums(Profile(values)), NoiseModel(1.0), cfg)
+        assert np.unique(table.log_p).size < len(table) // 4
+        _assert_matches_reference(values, NoiseModel(1.0), cfg)
 
 
 class TestPredictedOpCounts:

@@ -95,6 +95,39 @@ class TestSigmaMad:
         with pytest.raises(ValidationError):
             NoiseModel(sigma=0.0)
 
+    @staticmethod
+    def _assert_matches_np_median(values):
+        values = np.array(values, dtype=np.float64)
+        mad = np.median(np.abs(values - np.median(values)))
+        profile = Profile(values.copy())
+        if mad == 0.0:
+            with pytest.raises(DegenerateScaleError):
+                estimate_sigma_mad(profile)
+        else:
+            sigma = estimate_sigma_mad(profile).sigma
+            assert sigma == 1.4826 * mad, (sigma.hex(), (1.4826 * mad).hex())
+        # the partitions work on a copy
+        assert np.array_equal(profile.values, values)
+
+    # few distinct values, so ties, 0.0 and -0.0 are common at both middle
+    # ranks; odd and even sizes
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, -2.5, 3.0, 1e-300,
+                                            -7e12, 5e-324]),
+                           min_size=2, max_size=60))
+    @example(values=[-0.0, 0.0])
+    @example(values=[1.0, -0.0, 0.0, -1.0, 3.0])
+    # middle values whose halves underflow: (a + b) / 2 and a / 2 + b / 2 differ
+    @example(values=[0.0, 0.0, 5e-324, 5e-324, 1.0, 1.0])
+    def test_matches_np_median_bit_for_bit(self, values):
+        self._assert_matches_np_median(values)
+
+    @pytest.mark.parametrize("n", [100_000, 100_001])
+    def test_long_profile_matches_np_median_bit_for_bit(self, n):
+        values = np.random.default_rng(n).normal(size=n)
+        values[::7] = np.round(values[::7], 1)
+        self._assert_matches_np_median(values)
+
 
 class TestZStatistic:
     def test_zero_sum(self):
