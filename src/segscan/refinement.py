@@ -7,17 +7,24 @@ shifting one boundary by ceil(L/K) (L the current length, K the refinement
 divisor, default 10). If the proposal strictly lowers the p-value it is
 accepted and the move repeats; otherwise every boundary strictly between
 the proposal and the current boundary is evaluated, the best is accepted if
-it strictly improves, and the move ends. A gap of GAP_BATCH_MIN or more
-boundaries is scored in one pass over a prefix-sum slice with the batch
-z and log p kernels, which give the scalar kernels' values bit for bit;
-shorter gaps are scored one boundary at a time. Proposals never cross a
-committed neighbor or the profile edge; they are truncated to the nearest
-legal boundary. The moves run in a cycle and stop once four in a row leave
-the segment unchanged. Most selected segments never move: before the walk,
-one batch over all of them (_quiet_limits) scores every boundary their
-first four moves would score, and a segment none of those improves is kept
-as it is, without running the moves, while its limits give it no more room
-than the batch checked.
+it strictly improves, and the move ends. Proposals never cross a committed
+neighbor or the profile edge; they are truncated to the nearest legal
+boundary. The moves run in a cycle and stop once four in a row leave the
+segment unchanged. Most selected segments never move: before the walk, one
+batch over all of them (_quiet_limits) scores every boundary their first
+four moves would score, and a segment none of those improves is kept as it
+is, without running the moves, while its limits give it no more room than
+the batch checked.
+
+Every comparison with a known p-value compares z keys first: |z| for a
+two-sided test, z for a one-sided one. log_p_value does not increase as
+the key grows, so a boundary whose key lies below _floor(k), k the key of
+the segment it must beat, cannot have a strictly smaller log p, and its
+log p is never computed. Only the boundaries at or above the floor get an
+exact log p, and that exact value alone decides. A gap of GAP_BATCH_MIN or
+more boundaries is scored in one pass over a prefix-sum slice with the
+batch z and log p kernels, which give the scalar kernels' values bit for
+bit; shorter gaps are scored one boundary at a time.
 
 The segments are kept in one list sorted by start. They are disjoint and a
 refined segment stays between its neighbors, so the list never reorders,
@@ -40,7 +47,7 @@ import numpy as np
 from .errors import ValidationError
 from .scanning import Candidate, ScanConfig
 from .selection import BoundarySet
-from .stats import (NoiseModel, PrefixSums, log_p_value_batch, segment_stats,
+from .stats import (NoiseModel, PrefixSums, log_p_value, log_p_value_batch, z_statistic,
                     z_statistic_batch)
 
 
@@ -61,14 +68,40 @@ class RefineContext:
     boundaries: BoundarySet = field(default_factory=BoundarySet)
     trace: list | None = None
 
+    def z(self, start: int, end: int) -> float:
+        """z score of [start, end) from prefix sums."""
+        return z_statistic(self.ps.range_sum(start, end), end - start, self.noise)
+
     def stat(self, start: int, end: int) -> Candidate:
         """Candidate statistics for [start, end) from prefix sums."""
-        _, z, log_p = segment_stats(self.ps, self.noise, start, end, self.cfg.sides)
-        return Candidate(start, end, z, log_p)
+        z = self.z(start, end)
+        return Candidate(start, end, z, log_p_value(z, self.cfg.sides))
 
     def _record(self, op: str, before, after) -> None:
         if self.trace is not None:
             self.trace.append((op, before, after))
+
+
+def _floor(key: float) -> float:
+    """A z key below this has a log p no smaller than that of ``key`` itself.
+
+    log_p_value is non-increasing in the key (|z| two-sided, z one-sided)
+    up to rounding of about an ulp of log p; a relative 1e-9 of the key
+    moves log p by orders of magnitude more than that, everywhere.
+    """
+    return key - 1e-9 * (1.0 + abs(key))
+
+
+def _band(z: float, sides: str) -> tuple[float, float]:
+    """(low, high) such that every z' with low < z' < high has a log p no smaller than z's.
+
+    These are the z' whose key lies below _floor of z's key: -floor < z' <
+    floor two-sided (an empty band when floor <= 0), z' < floor one-sided.
+    """
+    if sides == "two":
+        floor = _floor(abs(z))
+        return -floor, floor
+    return -math.inf, _floor(z)
 
 
 #: Boundary moves in the order refine_segment applies them, each mapped to
@@ -82,42 +115,62 @@ MOVES = {
 
 
 #: Gaps of at least this many boundaries are scored in one batch, shorter
-#: ones one boundary at a time: a scalar evaluation costs ~2 us and a batch
-#: ~35 us of numpy call overhead, so the two break even at 16-20 boundaries
-#: (refine time on dense profiles is flat for values 16-24).
-GAP_BATCH_MIN = 16
+#: ones one boundary at a time. The scalar loop costs ~0.2 us per boundary
+#: whose z falls in the band and ~2 us per gap; a batch ~10 us per gap, plus
+#: ~20 us for the log p kernel once any boundary leaves the band. They
+#: break even near 50-60 boundaries, and refine time on dense profiles is
+#: flat from 48 to 128.
+GAP_BATCH_MIN = 64
 
 
 def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
-                left: bool) -> Candidate:
-    """Best segment with its moving edge at a boundary in [lo, hi), lo < hi.
+                left: bool) -> Candidate | None:
+    """Best segment with its moving edge at a boundary in [lo, hi), if it beats ``cur``.
 
-    Boundaries are scored outermost first and only a strictly better p
-    replaces the best so far, so ties keep the longer segment; in a batch,
-    argmin's first minimum is that same choice.
+    Returns None when no boundary in the gap gives a strictly smaller p
+    than ``cur``. Boundaries are scored outermost first and only a strictly
+    better p replaces the best so far, so ties keep the longer segment; in
+    a batch, argmin's first minimum is that same choice. A boundary gets a
+    log p only if its z lies outside the band of the best so far.
     """
-    if hi - lo < GAP_BATCH_MIN:
-        best = None
-        for boundary in range(lo, hi) if left else range(hi - 1, lo - 1, -1):
-            start, end = (boundary, cur.end) if left else (cur.start, boundary)
-            _, z, log_p = segment_stats(ctx.ps, ctx.noise, start, end, ctx.cfg.sides)
-            if best is None or log_p < best[3]:
-                best = (start, end, z, log_p)
-        return Candidate(*best)
+    sides = ctx.cfg.sides
     cum = ctx.ps.cumulative
+    # the gap's segments share the fixed edge ``anchor``; their sums and
+    # lengths, outermost (longest) first
     if left:
-        boundary = np.arange(lo, hi)
-        sums = cum[cur.end] - cum[lo:hi]
-        n = cur.end - boundary
+        anchor, sums, longest = cur.end, cum[cur.end] - cum[lo:hi], cur.end - lo
     else:
-        boundary = np.arange(hi - 1, lo - 1, -1)
-        sums = cum[lo:hi][::-1] - cum[cur.start]
-        n = boundary - cur.start
-    z = z_statistic_batch(sums, n, ctx.noise)
-    log_p = log_p_value_batch(z, ctx.cfg.sides)
-    j = int(np.argmin(log_p))
-    start, end = (int(boundary[j]), cur.end) if left else (cur.start, int(boundary[j]))
-    return Candidate(start, end, float(z[j]), float(log_p[j]))
+        anchor, sums, longest = cur.start, cum[lo:hi][::-1] - cum[cur.start], hi - 1 - cur.start
+    low, high = _band(cur.z, sides)
+    if hi - lo < GAP_BATCH_MIN:
+        background, sigma = ctx.noise.background, ctx.noise.sigma
+        best, log_p_best = None, cur.log_p
+        for n, total in zip(range(longest, longest - (hi - lo), -1), sums.tolist()):
+            # z_statistic's operations, in its order
+            z = (total / n - background) * math.sqrt(n) / sigma
+            if low < z < high:
+                continue
+            log_p = log_p_value(z, sides)
+            if log_p < log_p_best:
+                best, log_p_best = (n, z), log_p
+                low, high = _band(z, sides)
+        if best is None:
+            return None
+        n, z = best
+    else:
+        lengths = np.arange(longest, longest - (hi - lo), -1)
+        z = z_statistic_batch(sums, lengths, ctx.noise)
+        rows = np.flatnonzero((z <= low) | (z >= high))
+        if not rows.size:
+            return None
+        log_p = log_p_value_batch(z[rows], sides)
+        j = int(np.argmin(log_p))
+        if not log_p[j] < cur.log_p:
+            return None
+        log_p_best, j = float(log_p[j]), int(rows[j])
+        n, z = int(lengths[j]), float(z[j])
+    start, end = (anchor - n, anchor) if left else (anchor, anchor + n)
+    return Candidate(start, end, z, log_p_best)
 
 
 def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
@@ -127,8 +180,9 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
     ``op`` names the boundary and direction (a key of MOVES). Outward moves
     stop at ``lo`` (left edge) or ``hi`` (right edge): the end of the left
     neighbor or 0, and the start of the right neighbor or the profile
-    length. Inward moves keep at least one point. The skipped gap is
-    searched by _search_gap.
+    length. Inward moves keep at least one point. The jump gets a log p
+    only if its z lies outside the current segment's band (_band); the
+    skipped gap is searched by _search_gap.
     """
     left, outward = MOVES[op]
     sign = -1 if left == outward else 1
@@ -137,6 +191,7 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
     else:
         limit = lo if left else hi
 
+    sides = ctx.cfg.sides
     cur = seg
     while True:
         edge = cur.start if left else cur.end
@@ -145,15 +200,18 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
             break
         proposal = edge + sign * step
         start, end = (proposal, cur.end) if left else (cur.start, proposal)
-        _, z, log_p = segment_stats(ctx.ps, ctx.noise, start, end, ctx.cfg.sides)
-        if log_p < cur.log_p:
-            jumped = Candidate(start, end, z, log_p)
-            ctx._record(op, cur, jumped)
-            cur = jumped
-            continue
+        z = ctx.z(start, end)
+        low, high = _band(cur.z, sides)
+        if not low < z < high:
+            log_p = log_p_value(z, sides)
+            if log_p < cur.log_p:
+                jumped = Candidate(start, end, z, log_p)
+                ctx._record(op, cur, jumped)
+                cur = jumped
+                continue
         lo, hi = min(edge, proposal) + 1, max(edge, proposal)
         best = _search_gap(ctx, cur, lo, hi, left) if lo < hi else None
-        if best is not None and best.log_p < cur.log_p:
+        if best is not None:
             ctx._record(op, cur, best)
             cur = best
         break
@@ -185,12 +243,14 @@ def _quiet_limits(ctx: RefineContext, segs: list[Candidate]) -> tuple[list[int],
     move's first step scores: the jump and the skipped gap, at distance
     1..step from the moving edge, with step = min(ceil(L/K), room) and room
     s - lo, hi - e, or L - 1 for a shrink. A move changes the segment only
-    if one of them has a strictly smaller log p. Where none does, every
-    move is quiet, and stays quiet between limits that let each move score
-    no boundary beyond these: lo' >= lo and hi' <= hi, or any limit on a
-    side where room already held a whole step. Those bounds are returned;
-    a segment some move can change gets lo_ok = n + 1, which no limit
-    meets. At most 4 * sum(ceil(L/K)) boundaries are scored.
+    if one of them has a strictly smaller log p, which only a boundary
+    whose z lies outside the segment's band (_band) can have, so only those
+    get a log p. Where none does,
+    every move is quiet, and stays quiet between limits that let each move
+    score no boundary beyond these: lo' >= lo and hi' <= hi, or any limit
+    on a side where room already held a whole step. Those bounds are
+    returned; a segment some move can change gets lo_ok = n + 1, which no
+    limit meets. At most 4 * sum(ceil(L/K)) boundaries get a z.
     """
     m, n = len(segs), ctx.ps.n
     start = np.fromiter((seg.start for seg in segs), np.int64, m)
@@ -211,10 +271,13 @@ def _quiet_limits(ctx: RefineContext, segs: list[Candidate]) -> tuple[list[int],
     which, first, last = (np.concatenate(column) for column in zip(*parts))
     cum = ctx.ps.cumulative
     z = z_statistic_batch(cum[last] - cum[first], last - first, ctx.noise)
+    band = np.array([_band(seg.z, ctx.cfg.sides) for seg in segs])[which]
+    rows = np.flatnonzero((z <= band[:, 0]) | (z >= band[:, 1]))
     log_p = np.fromiter((seg.log_p for seg in segs), np.float64, m)
     lo_ok = np.where(start - lo < step, lo, 0)
     hi_ok = np.where(hi - end < step, hi, n)
-    lo_ok[which[log_p_value_batch(z, ctx.cfg.sides) < log_p[which]]] = n + 1
+    better = log_p_value_batch(z[rows], ctx.cfg.sides) < log_p[which[rows]]
+    lo_ok[which[rows[better]]] = n + 1
     return lo_ok.tolist(), hi_ok.tolist()
 
 
@@ -251,16 +314,25 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
     The span runs from the first segment's left boundary to the second's
     right boundary and includes any gap points. After a merge the new
     segment is re-tested against its left neighbor, then its right one; the
-    pass ends at a fixpoint where no consecutive pair can merge. Returns
-    the segments sorted by start.
+    pass ends at a fixpoint where no consecutive pair can merge. The span
+    beats both iff it beats the better member, so it gets a log p only if
+    its z lies outside that member's band. Returns the segments sorted by
+    start.
     """
+    sides = ctx.cfg.sides
     merged: list[Candidate] = []
     for right in sorted(selected, key=lambda c: c.start):
         while merged:
             left = merged[-1]
-            span = ctx.stat(left.start, right.end)
-            if not (span.log_p < left.log_p and span.log_p < right.log_p):
+            better = left if left.log_p <= right.log_p else right
+            z = ctx.z(left.start, right.end)
+            low, high = _band(better.z, sides)
+            if low < z < high:
                 break
+            log_p = log_p_value(z, sides)
+            if not log_p < better.log_p:
+                break
+            span = Candidate(left.start, right.end, z, log_p)
             ctx._record("merge", (left, right), span)
             merged.pop()
             right = span

@@ -67,6 +67,13 @@ class ScanConfig:
             # numbers.Integral covers numpy integers; bool is an int subclass
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValidationError(f"{name} must be an integer, got {value!r}")
+        for name in ("rho", "p_s", "alpha", "p_b", "background"):
+            value = getattr(self, name)
+            # numbers.Real covers numpy floats; bool would pass as 0 or 1
+            if value is None and name == "p_b":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if self.w_min < 1:
             raise ValidationError("w_min must be >= 1")
         if self.w_max < self.w_min:

@@ -54,7 +54,10 @@ class BoundarySet:
             raise ValidationError(f"interval [{start}, {end}) overlaps a committed segment")
 
 
-#: Rows per block of the select walk's overlap prefilter.
+#: Rows of the select walk's first block; each later block doubles, up to
+#: BLOCK_ROWS.
+FIRST_BLOCK_ROWS = 64
+#: Largest block of the select walk's overlap prefilter.
 BLOCK_ROWS = 2048
 
 
@@ -63,11 +66,14 @@ def select_nonoverlapping(table: CandidateTable, p_s: float | None = None) -> li
 
     Walks the table's rows in their (log_p, length descending, start) order,
     best first, and commits to one BoundarySet each row that overlaps
-    nothing committed before it. Per block of BLOCK_ROWS rows, one
-    searchsorted of the starts into the set's edges, under the set's own
-    rule, drops the rows that overlap an earlier block's commits; only the
-    survivors are committed one by one, in row order. Only the committed
-    rows become Candidate objects. The result is exactly the greedy-by-p
+    nothing committed before it. The rows go in blocks of FIRST_BLOCK_ROWS,
+    twice that, and so on up to BLOCK_ROWS, so the few best rows, which
+    commit most of the set, are walked before the prefilter of the larger
+    blocks. Per block, one searchsorted of the block's starts, sorted, into
+    the set's edges, under the set's own rule, drops the rows that overlap
+    an earlier block's commits; only the survivors go to BoundarySet.add,
+    which decides every commit, in row order. Only the committed rows
+    become Candidate objects. The result is exactly the greedy-by-p
     disjoint subset, sorted by start. The scanner has already filtered at
     p_s; passing it here re-checks that with an assertion (skipped under
     ``python -O``).
@@ -77,16 +83,24 @@ def select_nonoverlapping(table: CandidateTable, p_s: float | None = None) -> li
     committed = BoundarySet()
     edges = np.array(committed.edges)
     picked: list[int] = []
-    for first in range(0, len(table), BLOCK_ROWS):
-        block_start = table.start[first:first + BLOCK_ROWS]
-        block_end = table.end[first:first + BLOCK_ROWS]
-        i = np.searchsorted(edges, block_start, side="right")
-        free = np.flatnonzero((i % 2 == 0) & (edges[i] >= block_end))
+    first, rows = 0, min(FIRST_BLOCK_ROWS, BLOCK_ROWS)
+    while first < len(table):
+        block_start = table.start[first:first + rows]
+        block_end = table.end[first:first + rows]
+        if edges.size > 1:
+            order = np.argsort(block_start)
+            i = np.empty_like(order)
+            i[order] = np.searchsorted(edges, block_start[order], side="right")
+            free = np.flatnonzero((i % 2 == 0) & (edges[i] >= block_end))
+        else:  # nothing committed yet
+            free = np.arange(block_start.size)
         for row, start, end in zip(free.tolist(), block_start[free].tolist(),
                                    block_end[free].tolist()):
             if committed.add(start, end):
                 picked.append(first + row)
         if len(committed.edges) > edges.size:
             edges = np.array(committed.edges)
+        first += rows
+        rows = min(2 * rows, BLOCK_ROWS)
     picked.sort(key=table.start.__getitem__)
     return [table.candidate(row) for row in picked]

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .profiles import Profile, SegmentRecord
 from .scanning import Candidate, ScanConfig
-from .stats import TINY_P, NoiseModel, PrefixSums, segment_stats
+from .stats import TINY_P, NoiseModel, PrefixSums, log_p_value_batch, z_statistic_batch
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
              m_total: int | None = None) -> SegmentationResult:
     """Recompute statistics, run BH at cfg.alpha, apply the cutoff.
 
-    Statistics are recomputed from the prefix sums ``ps`` of ``profile``
-    under ``noise`` rather than trusted from the refinement caches.
+    Statistics are recomputed from the prefix sums ``ps`` under ``noise``
+    rather than trusted from the refinement caches, in one pass of the
+    batch kernels, which give segment_stats' values bit for bit.
+    ``profile`` is not read; it stays so that positional callers work.
     ``m_total`` should be the number of candidates the scan retained (the
     hypothesis family the segments were drawn from); the pipeline supplies
     it. When omitted, the family is just the final segments, which is a
@@ -90,13 +92,17 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     otherwise at least TINY_P, like SegmentRecord.p_value.
     """
     segments = sorted(refined, key=lambda c: c.start)
-    stats = [segment_stats(ps, noise, seg.start, seg.end, cfg.sides) for seg in segments]
-    log_ps = np.array([s[2] for s in stats], dtype=np.float64)
+    start = np.fromiter((seg.start for seg in segments), np.int64, len(segments))
+    end = np.fromiter((seg.end for seg in segments), np.int64, len(segments))
+    sums = ps.cumulative[end] - ps.cumulative[start]
+    z = z_statistic_batch(sums, end - start, noise)
+    log_ps = log_p_value_batch(z, cfg.sides)
     log_threshold, mask = bh_select_log(log_ps, cfg.alpha, m_total=m_total)
     records = [
-        SegmentRecord(start=seg.start, end=seg.end, mean=mean, z=z,
-                      log_p=log_p, significant=bool(flag))
-        for seg, (mean, z, log_p), flag in zip(segments, stats, mask)
+        SegmentRecord(start=seg.start, end=seg.end, mean=mean, z=z, log_p=log_p,
+                      significant=flag)
+        for seg, mean, z, log_p, flag in zip(segments, (sums / (end - start)).tolist(),
+                                             z.tolist(), log_ps.tolist(), mask.tolist())
     ]
     if cfg.p_b is not None:
         records = apply_biological_cutoff(records, cfg.p_b, cfg.background)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -346,6 +347,7 @@ def log_p_value_batch(z, sides: str = "two") -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=64)
 def z_cut(log_p_max: float, sides: str = "two") -> float:
     """A bound that every z with log_p_value(z) <= log_p_max meets.
 
@@ -353,6 +355,8 @@ def z_cut(log_p_max: float, sides: str = "two") -> float:
     The bound is the least such z, found by bisection on log_p_value
     (which is non-increasing in z, or in |z| two-sided), and loosened by a
     relative 1e-6 as a margin. It is -inf for a one-sided test at p = 1.
+    The bisection takes ~40 us, so bounds are cached per (log_p_max, sides):
+    every profile of a run scans at the same p_s.
     """
     # lo is where log p leaves 0: two-sided at z = 0, one-sided at -40,
     # below which log p is -0.0

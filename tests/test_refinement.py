@@ -1,13 +1,15 @@
+import math
 from bisect import bisect_left, bisect_right
+from itertools import cycle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from segscan import (NoiseModel, Profile, RefineContext, ScanConfig, ValidationError,
-                     build_prefix_sums, merge_adjacent, refine_all, refinement, scan,
-                     select_nonoverlapping)
+from segscan import (Candidate, NoiseModel, Profile, RefineContext, ScanConfig,
+                     ValidationError, build_prefix_sums, merge_adjacent, refine_all, refinement,
+                     scan, segment_stats, select_nonoverlapping)
 from segscan.refinement import move_boundary
 
 #: GAP_BATCH_MIN settings that send every non-empty gap search through the
@@ -406,6 +408,98 @@ def test_matches_set_based_reference(seed, n, blocks, sides, background, k_refin
     assert (_refined(values, cfg, gap_batch_min)
             == _refined(values, cfg, gap_batch_min, _reference_refine_all,
                         _reference_merge_adjacent))
+
+
+def _reference_move(ctx, seg, op, lo, hi):
+    """move_boundary with an exact log p for every boundary it looks at, from segment_stats."""
+    left, outward = refinement.MOVES[op]
+    sign = -1 if left == outward else 1
+    limit = (lo if left else hi) if outward else (seg.end - 1 if left else seg.start + 1)
+
+    def stat(boundary):
+        start, end = (boundary, cur.end) if left else (cur.start, boundary)
+        return Candidate(start, end, *segment_stats(ctx.ps, ctx.noise, start, end,
+                                                    ctx.cfg.sides)[1:])
+
+    cur = seg
+    while True:
+        edge = cur.start if left else cur.end
+        step = min(math.ceil(cur.length / ctx.cfg.k_refine), (limit - edge) * sign)
+        if step <= 0:
+            return cur
+        proposal = edge + sign * step
+        jumped = stat(proposal)
+        if jumped.log_p < cur.log_p:
+            ctx._record(op, cur, jumped)
+            cur = jumped
+            continue
+        gap = range(min(edge, proposal) + 1, max(edge, proposal))
+        best = None
+        for boundary in gap if left else reversed(gap):
+            scored = stat(boundary)
+            if best is None or scored.log_p < best.log_p:
+                best = scored
+        if best is not None and best.log_p < cur.log_p:
+            ctx._record(op, cur, best)
+            cur = best
+        return cur
+
+
+def _log_p_everywhere_refine_all(ctx, selected):
+    """refine_all without _quiet_limits, every move through _reference_move."""
+    segs = sorted(selected, key=lambda c: c.start)
+    for i in sorted(range(len(segs)), key=lambda i: segs[i].sort_key):
+        lo = segs[i - 1].end if i > 0 else 0
+        hi = segs[i + 1].start if i < len(segs) - 1 else ctx.ps.n
+        seg, quiet = segs[i], 0
+        for op in cycle(refinement.MOVES):
+            moved = _reference_move(ctx, seg, op, lo, hi)
+            quiet = quiet + 1 if moved.interval == seg.interval else 0
+            seg = moved
+            if quiet == len(refinement.MOVES):
+                break
+        segs[i] = seg
+    return segs
+
+
+def _log_p_everywhere_merge(ctx, selected):
+    """merge_adjacent with the span's exact log p always computed."""
+    merged = []
+    for right in sorted(selected, key=lambda c: c.start):
+        while merged:
+            left = merged[-1]
+            _, z, log_p = segment_stats(ctx.ps, ctx.noise, left.start, right.end,
+                                        ctx.cfg.sides)
+            if not (log_p < left.log_p and log_p < right.log_p):
+                break
+            span = Candidate(left.start, right.end, z, log_p)
+            ctx._record("merge", (left, right), span)
+            merged.pop()
+            right = span
+        merged.append(right)
+    return merged
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 240),
+       dof=st.sampled_from([1.0, 2.0, 3.0]), scale=st.sampled_from([0.3, 1.0, 4.0]),
+       sides=st.sampled_from(["two", "one"]), background=st.sampled_from([0.4, -0.7]),
+       k_refine=st.sampled_from([2, 3, 10]),
+       gap_batch_min=st.sampled_from([ALL_BATCHED, ALL_SCALAR]))
+def test_matches_log_p_everywhere_reference(seed, n, dof, scale, sides, background, k_refine,
+                                            gap_batch_min):
+    # skipping log p below the z-key floor must not change any accepted
+    # move, its z and log p bits, or any refined or merged segment. With
+    # p_s = 1 every window is a candidate, so one-sided selections include
+    # segments of negative z, and Student-t noise (Cauchy at dof 1) puts
+    # keys past the kernel's tail switch at 37
+    rng = np.random.default_rng(seed)
+    values = background + scale * rng.standard_t(dof, size=n)
+    cfg = ScanConfig(w_max=min(n, 60), p_s=1.0, k_refine=k_refine, background=background,
+                     sides=sides)
+    assert (_refined(values, cfg, gap_batch_min)
+            == _refined(values, cfg, gap_batch_min, _log_p_everywhere_refine_all,
+                        _log_p_everywhere_merge))
 
 
 def _nothing_quiet(ctx, segs):

@@ -35,6 +35,20 @@ class TestScanConfig:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             ScanConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("p_s", True), ("alpha", False), ("rho", True), ("background", True), ("p_b", True),
+        ("alpha", "0.5"), ("p_s", "1e-3"), ("rho", "2"), ("background", "0"), ("p_b", "1"),
+    ])
+    def test_non_real_parameters_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be a real number, got"):
+            ScanConfig(**{field: value})
+
+    def test_numpy_real_parameters_accepted(self):
+        cfg = ScanConfig(rho=np.float64(1.5), p_s=np.float32(0.25), alpha=np.float64(0.05),
+                         p_b=np.float64(0.5), background=np.float32(-1.0), w_max=40)
+        assert (cfg.rho, cfg.p_s, cfg.alpha, cfg.p_b, cfg.background) == (1.5, 0.25, 0.05,
+                                                                          0.5, -1.0)
+
     def test_numpy_integer_sizes_accepted(self):
         cfg = ScanConfig(w_min=np.int64(2), w_max=np.int32(40), k_refine=np.int64(4))
         assert (cfg.w_min, cfg.w_max, cfg.k_refine) == (2, 40, 4)

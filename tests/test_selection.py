@@ -176,3 +176,25 @@ def test_blocked_select_matches_greedy_oracle(block_rows, pool):
         mp.setattr(selection, "BLOCK_ROWS", block_rows)
         got = select_nonoverlapping(table_from_candidates(pool))
     assert got == greedy_disjoint(pool)
+
+
+def _pool_of(rows, seed):
+    """``rows`` distinct intervals, 1-20 long on an axis of 4 * rows points, four log p values."""
+    rng = np.random.default_rng(seed)
+    n = max(4 * rows, 30)
+    pool = {}
+    while len(pool) < rows:
+        start = int(rng.integers(0, n - 1))
+        end = min(n, start + int(rng.integers(1, 21)))
+        pool[(start, end)] = float(rng.choice([-40.0, -20.5, -9.0, -7.25]))
+    return [Candidate(s, e, 1.0, lp) for (s, e), lp in pool.items()]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 5000])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_select_matches_greedy_oracle_at_block_edges(rows, seed):
+    # the first block holds FIRST_BLOCK_ROWS rows: 63 and 64 rows fill
+    # one block, 65 start a second, and 5,000 run through every block size
+    # up to BLOCK_ROWS and past it
+    pool = _pool_of(rows, seed)
+    assert select_nonoverlapping(table_from_candidates(pool)) == greedy_disjoint(pool)

@@ -141,6 +141,32 @@ class TestFinalize:
         assert result.records == ()
         assert result.bh_threshold == 0.0
 
+    @pytest.mark.parametrize("sides", ["two", "one"])
+    def test_statistics_match_segment_stats_bit_for_bit(self, sides):
+        # finalize scores every segment in one batch; each record must hold
+        # segment_stats' values exactly, whatever stale statistics came in.
+        # Heavy tails and a 60-point block of 8.0 put some |z| past 37.
+        rng = np.random.default_rng(5)
+        values = 0.4 + 3.0 * rng.standard_t(2, size=2000)
+        values[700:760] += 8.0
+        profile = Profile(values)
+        ps = build_prefix_sums(profile)
+        noise = NoiseModel(1.3, background=0.4)
+        cuts = (sorted(rng.choice(np.arange(1, 690), size=100, replace=False).tolist())
+                + [700, 760]
+                + sorted(rng.choice(np.arange(770, 2000), size=200, replace=False).tolist()))
+        stale = [Candidate(s, e, 0.0, 0.0) for s, e in zip(cuts[::2], cuts[1::2])]
+        cfg = ScanConfig(sides=sides, background=0.4)
+        result = finalize(profile, stale, cfg, noise=noise, ps=ps)
+        assert [(r.start, r.end) for r in result.records] == [c.interval for c in stale]
+        assert max(abs(r.z) for r in result.records) > 37.0
+        for record in result.records:
+            expected = segment_stats(ps, noise, record.start, record.end, sides)
+            got = (record.mean, record.z, record.log_p)
+            assert [type(x) for x in got] == [float] * 3
+            assert [x.hex() for x in got] == [x.hex() for x in expected]
+            assert type(record.significant) is bool
+
     def test_single_strong_segment(self):
         values = np.zeros(100)
         values[40:60] = 4.0

@@ -11,6 +11,7 @@ from scipy.special import log_ndtr
 from segscan import (DegenerateScaleError, NoiseModel, Profile, RefineContext,
                      ScanConfig, SimSpec, ValidationError, build_prefix_sums,
                      estimate_sigma_mad, log_p_value, scan, simulate, z_statistic)
+from segscan.refinement import _floor
 from segscan.stats import (_A_MAX, _NODES_PER_UNIT, LOG_TWO, OpCounter, log_p_value_batch,
                            segment_stats, z_cut)
 
@@ -283,6 +284,41 @@ class TestTailKernel:
         grid = np.stack(around, axis=1)
         log_p = log_p_value_batch(grid.ravel(), sides).reshape(grid.shape)
         assert (np.diff(log_p, axis=1) <= 0.0).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(b=st.one_of(st.floats(-45.0, 45.0), st.floats(36.0, 1e4), st.floats(-1e4, -36.0),
+                       st.sampled_from(_MIDPOINTS.tolist() + (-_MIDPOINTS).tolist()),
+                       st.sampled_from(_NODE_EDGES + [-x for x in _NODE_EDGES])),
+           below=st.one_of(st.just(0.0), st.floats(0.0, 1e-6), st.floats(0.0, 10.0)),
+           step=st.sampled_from([-1, 0, 1]), sides=st.sampled_from(["two", "one"]))
+    @example(b=_MIDPOINTS[0], below=0.0, step=1, sides="two")
+    @example(b=-_MIDPOINTS[0], below=0.0, step=1, sides="one")
+    @example(b=37.0, below=0.0, step=1, sides="two")
+    @example(b=-40.0, below=0.0, step=0, sides="one")
+    def test_key_below_floor_has_no_smaller_log_p(self, b, below, step, sides):
+        # refinement skips the log p of any z whose key (|z| two-sided, z
+        # one-sided) lies below _floor of the key it must beat; that is
+        # sound only if such a key never has a strictly smaller log p
+        if step:
+            b = math.nextafter(b, math.inf * step)
+        if sides == "two":
+            b = abs(b)
+        a = math.nextafter(_floor(b), -math.inf) - below
+        if sides == "two" and a < 0.0:
+            return
+        assert log_p_value(a, sides) >= log_p_value(b, sides)
+
+    @pytest.mark.parametrize("sides", ["two", "one"])
+    def test_key_below_floor_has_no_smaller_log_p_on_every_piece(self, sides):
+        # every node and midpoint, both signs one-sided, and the key just
+        # below each one's floor
+        centres = np.concatenate([_NODES, _MIDPOINTS])
+        b = np.concatenate([centres, np.nextafter(centres, 0.0), np.nextafter(centres, 1e3)])
+        if sides == "one":
+            b = np.concatenate([b, -b])
+        a = np.nextafter(np.array([_floor(x) for x in b.tolist()]), -math.inf)
+        keep = a >= 0.0 if sides == "two" else np.ones(a.size, bool)
+        assert (log_p_value_batch(a[keep], sides) >= log_p_value_batch(b[keep], sides)).all()
 
     def test_zero_gives_p_one_exactly(self):
         assert log_p_value(0.0) == 0.0
