@@ -72,11 +72,6 @@ class RefineContext:
         """z score of [start, end) from prefix sums."""
         return z_statistic(self.ps.range_sum(start, end), end - start, self.noise)
 
-    def stat(self, start: int, end: int) -> Candidate:
-        """Candidate statistics for [start, end) from prefix sums."""
-        z = self.z(start, end)
-        return Candidate(start, end, z, log_p_value(z, self.cfg.sides))
-
     def _record(self, op: str, before, after) -> None:
         if self.trace is not None:
             self.trace.append((op, before, after))
@@ -119,7 +114,9 @@ MOVES = {
 #: whose z falls in the band and ~2 us per gap; a batch ~10 us per gap, plus
 #: ~20 us for the log p kernel once any boundary leaves the band. They
 #: break even near 50-60 boundaries, and refine time on dense profiles is
-#: flat from 48 to 128.
+#: flat from 48 to 128. At the default w_max and K few gaps reach 64
+#: boundaries; at w_max 3000, scoring every gap one boundary at a time
+#: makes refine + merge ~35% slower.
 GAP_BATCH_MIN = 64
 
 

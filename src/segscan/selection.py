@@ -87,13 +87,10 @@ def select_nonoverlapping(table: CandidateTable, p_s: float | None = None) -> li
     while first < len(table):
         block_start = table.start[first:first + rows]
         block_end = table.end[first:first + rows]
-        if edges.size > 1:
-            order = np.argsort(block_start)
-            i = np.empty_like(order)
-            i[order] = np.searchsorted(edges, block_start[order], side="right")
-            free = np.flatnonzero((i % 2 == 0) & (edges[i] >= block_end))
-        else:  # nothing committed yet
-            free = np.arange(block_start.size)
+        order = np.argsort(block_start)
+        i = np.empty_like(order)
+        i[order] = np.searchsorted(edges, block_start[order], side="right")
+        free = np.flatnonzero((i % 2 == 0) & (edges[i] >= block_end))
         for row, start, end in zip(free.tolist(), block_start[free].tolist(),
                                    block_end[free].tolist()):
             if committed.add(start, end):

@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segscan import (Candidate, NoiseModel, Profile, RefineContext, ScanConfig,
-                     ValidationError, build_prefix_sums, merge_adjacent, refine_all, refinement,
-                     scan, segment_stats, select_nonoverlapping)
+                     ValidationError, build_prefix_sums, log_p_value, merge_adjacent, refine_all,
+                     refinement, scan, segment_stats, select_nonoverlapping)
 from segscan.refinement import move_boundary
 
 #: GAP_BATCH_MIN settings that send every non-empty gap search through the
@@ -24,6 +24,12 @@ def _context(values, k_refine=10, trace=None):
                          trace=trace)
 
 
+def _stat(ctx, start, end):
+    """Candidate for [start, end) scored as refinement scores it."""
+    z = ctx.z(start, end)
+    return Candidate(start, end, z, log_p_value(z, ctx.cfg.sides))
+
+
 def _block_profile(n, start, end, height):
     values = np.zeros(n)
     values[start:end] = height
@@ -32,13 +38,13 @@ def _block_profile(n, start, end, height):
 
 def _best_left(ctx, r, lo, hi):
     # exhaustive oracle over every left boundary in [lo, hi)
-    best = min((ctx.stat(left, r) for left in range(lo, hi)),
+    best = min((_stat(ctx, left, r) for left in range(lo, hi)),
                key=lambda c: (c.log_p, c.start))
     return best.start
 
 
 def _best_right(ctx, l, lo, hi):
-    best = min((ctx.stat(l, right) for right in range(lo, hi)),
+    best = min((_stat(ctx, l, right) for right in range(lo, hi)),
                key=lambda c: (c.log_p, -c.end))
     return best.end
 
@@ -69,35 +75,35 @@ def _tie_case(op):
 def test_gap_search_tie_keeps_longer_segment(op, monkeypatch):
     values, seg, longer, shorter = _tie_case(op)
     ctx = _context(values, k_refine=2)
-    assert ctx.stat(*longer).log_p == ctx.stat(*shorter).log_p
-    assert ctx.stat(*longer).log_p < ctx.stat(*seg).log_p
+    assert _stat(ctx, *longer).log_p == _stat(ctx, *shorter).log_p
+    assert _stat(ctx, *longer).log_p < _stat(ctx, *seg).log_p
     for gap_batch_min in (ALL_BATCHED, ALL_SCALAR):
         monkeypatch.setattr(refinement, "GAP_BATCH_MIN", gap_batch_min)
-        refined = move_boundary(ctx, ctx.stat(*seg), op, 0, values.size)
+        refined = move_boundary(ctx, _stat(ctx, *seg), op, 0, values.size)
         assert refined.interval == longer, gap_batch_min
 
 
 class TestExpandLeft:
     def test_recovers_planted_boundary(self):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        refined = move_boundary(ctx, ctx.stat(14, 30), "expand_left", 0, 40)
+        refined = move_boundary(ctx, _stat(ctx, 14, 30), "expand_left", 0, 40)
         assert refined.interval == (10, 30)
         assert _best_left(ctx, 30, 0, 15) == 10
 
     def test_already_optimal_unchanged(self):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        seg = ctx.stat(10, 30)
+        seg = _stat(ctx, 10, 30)
         assert move_boundary(ctx, seg, "expand_left", 0, 40) == seg
 
     def test_committed_neighbor_clamps(self):
         # a committed neighbor [0, 14) puts the left limit at 14
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        seg = ctx.stat(14, 30)
+        seg = _stat(ctx, 14, 30)
         assert move_boundary(ctx, seg, "expand_left", 14, 40) == seg
 
     def test_profile_edge_clamps(self):
         ctx = _context(_block_profile(20, 0, 10, 3.0))
-        refined = move_boundary(ctx, ctx.stat(2, 10), "expand_left", 0, 20)
+        refined = move_boundary(ctx, _stat(ctx, 2, 10), "expand_left", 0, 20)
         assert refined.start == 0
 
 
@@ -105,39 +111,39 @@ class TestExpandRight:
     def test_recovers_planted_boundary(self):
         # exact mirror of the expand_left instance under profile reversal
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        refined = move_boundary(ctx, ctx.stat(10, 26), "expand_right", 0, 40)
+        refined = move_boundary(ctx, _stat(ctx, 10, 26), "expand_right", 0, 40)
         assert refined.interval == (10, 30)
         assert _best_right(ctx, 10, 27, 41) == 30
 
     def test_segment_at_profile_end_clamps(self):
         ctx = _context(_block_profile(20, 12, 20, 3.0))
-        refined = move_boundary(ctx, ctx.stat(12, 18), "expand_right", 0, 20)
+        refined = move_boundary(ctx, _stat(ctx, 12, 18), "expand_right", 0, 20)
         assert refined.end <= 20
 
     def test_committed_neighbor_clamps(self):
         # a committed neighbor [30, 35) puts the right limit at 30
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        refined = move_boundary(ctx, ctx.stat(10, 30), "expand_right", 0, 30)
+        refined = move_boundary(ctx, _stat(ctx, 10, 30), "expand_right", 0, 30)
         assert refined.end == 30
 
 
 class TestShrink:
     def test_exact_segment_unchanged(self):
         ctx = _context(_block_profile(50, 10, 30, 3.0))
-        seg = ctx.stat(10, 30)
+        seg = _stat(ctx, 10, 30)
         assert move_boundary(ctx, seg, "shrink_left", 0, 50) == seg
         assert move_boundary(ctx, seg, "shrink_right", 0, 50) == seg
 
     def test_shrink_left_matches_exhaustive_oracle(self):
         # K = 6 puts the first inward jump on the planted boundary
         ctx = _context(_block_profile(50, 10, 30, 3.0), k_refine=6)
-        refined = move_boundary(ctx, ctx.stat(5, 35), "shrink_left", 0, 50)
+        refined = move_boundary(ctx, _stat(ctx, 5, 35), "shrink_left", 0, 50)
         assert refined.start == _best_left(ctx, 35, 6, 35)
         assert refined.start == 10
 
     def test_shrink_right_matches_exhaustive_oracle(self):
         ctx = _context(_block_profile(50, 10, 30, 3.0), k_refine=6)
-        refined = move_boundary(ctx, ctx.stat(10, 35), "shrink_right", 0, 50)
+        refined = move_boundary(ctx, _stat(ctx, 10, 35), "shrink_right", 0, 50)
         assert refined.end == _best_right(ctx, 10, 11, 35)
         assert refined.end == 30
 
@@ -146,14 +152,14 @@ class TestShrink:
         values = rng.normal(size=200)
         values[50:100] += 2.0
         ctx = _context(values)
-        seg = ctx.stat(45, 105)
+        seg = _stat(ctx, 45, 105)
         for op in ("shrink_left", "shrink_right"):
             refined = move_boundary(ctx, seg, op, 0, 200)
             assert refined.log_p <= seg.log_p
 
     def test_length_one_unchanged(self):
         ctx = _context(_block_profile(20, 5, 6, 5.0))
-        seg = ctx.stat(5, 6)
+        seg = _stat(ctx, 5, 6)
         assert move_boundary(ctx, seg, "shrink_left", 0, 20) == seg
         assert move_boundary(ctx, seg, "shrink_right", 0, 20) == seg
 
@@ -180,7 +186,7 @@ class TestReversalSymmetry:
         rev_profile = Profile(values[::-1].copy())
         rev_ps = build_prefix_sums(rev_profile)
         rev_ctx = RefineContext(ps=rev_ps, noise=noise, cfg=cfg)
-        mirrored_selected = sorted((rev_ctx.stat(n - seg.end, n - seg.start)
+        mirrored_selected = sorted((_stat(rev_ctx, n - seg.end, n - seg.start)
                                     for seg in selected), key=lambda c: c.start)
         backward = refine_all(rev_ctx, mirrored_selected)
 
@@ -196,7 +202,7 @@ class TestRefineAll:
     def test_single_segment_composes_four_ops(self):
         values = _block_profile(60, 20, 40, 2.5)
         ctx = _context(values)
-        out = refine_all(ctx, [ctx.stat(24, 38)])
+        out = refine_all(ctx, [_stat(ctx, 24, 38)])
         assert len(out) == 1
         assert out[0].interval == (20, 40)
 
@@ -224,14 +230,14 @@ class TestRefineAll:
 class TestMerge:
     def test_single_segment_unchanged(self):
         ctx = _context(_block_profile(50, 10, 30, 3.0))
-        out = merge_adjacent(ctx, [ctx.stat(10, 30)])
+        out = merge_adjacent(ctx, [_stat(ctx, 10, 30)])
         assert [seg.interval for seg in out] == [(10, 30)]
 
     def test_split_signal_merges(self):
         values = _block_profile(300, 100, 160, 1.0)
         ctx = _context(values)
-        left, right = ctx.stat(100, 128), ctx.stat(132, 160)
-        span = ctx.stat(100, 160)
+        left, right = _stat(ctx, 100, 128), _stat(ctx, 132, 160)
+        span = _stat(ctx, 100, 160)
         assert span.log_p < left.log_p and span.log_p < right.log_p  # direct computation
         out = merge_adjacent(ctx, [left, right])
         assert [seg.interval for seg in out] == [(100, 160)]
@@ -241,8 +247,8 @@ class TestMerge:
         values[10:30] = 3.0
         values[300:320] = 3.0
         ctx = _context(values)
-        a, b = ctx.stat(10, 30), ctx.stat(300, 320)
-        span = ctx.stat(10, 320)
+        a, b = _stat(ctx, 10, 30), _stat(ctx, 300, 320)
+        span = _stat(ctx, 10, 320)
         assert span.log_p > a.log_p  # the long zero gap dilutes the span
         out = merge_adjacent(ctx, [a, b])
         assert [seg.interval for seg in out] == [(10, 30), (300, 320)]
@@ -251,7 +257,7 @@ class TestMerge:
         values = _block_profile(200, 50, 130, 1.5)
         pieces = [(50, 75), (78, 100), (103, 130)]
         ctx = _context(values)
-        out = merge_adjacent(ctx, [ctx.stat(s, e) for s, e in pieces])
+        out = merge_adjacent(ctx, [_stat(ctx, s, e) for s, e in pieces])
         assert [seg.interval for seg in out] == [(50, 130)]
 
     def test_merge_retests_left_neighbor(self):
@@ -261,8 +267,8 @@ class TestMerge:
         values[34:40], values[42:44], values[44:80] = 2.2, 6.0, 3.0
         trace = []
         ctx = _context(values, trace=trace)
-        a, b, c = ctx.stat(34, 40), ctx.stat(42, 44), ctx.stat(44, 80)
-        span = ctx.stat(34, 44)
+        a, b, c = _stat(ctx, 34, 40), _stat(ctx, 42, 44), _stat(ctx, 44, 80)
+        span = _stat(ctx, 34, 44)
         assert not (span.log_p < a.log_p and span.log_p < b.log_p)
         out = merge_adjacent(ctx, [a, b, c])
         assert [seg.interval for seg in out] == [(34, 80)]
@@ -283,14 +289,14 @@ class TestMerge:
         ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
         segs = merge_adjacent(ctx, refine_all(ctx, selected))
         for a, b in zip(segs, segs[1:]):
-            span = ctx.stat(a.start, b.end)
+            span = _stat(ctx, a.start, b.end)
             assert not (span.log_p < a.log_p and span.log_p < b.log_p)
 
     def test_trace_records_strict_decreases(self):
         trace = []
         values = _block_profile(300, 100, 160, 1.0)
         ctx = _context(values, trace=trace)
-        merge_adjacent(ctx, [ctx.stat(100, 128), ctx.stat(132, 160)])
+        merge_adjacent(ctx, [_stat(ctx, 100, 128), _stat(ctx, 132, 160)])
         assert trace
         for op, before, after in trace:
             assert op == "merge"
@@ -325,7 +331,7 @@ def _reference_merge_adjacent(ctx, selected):
     i = 0
     while i + 1 < len(segs):
         left, right = segs[i], segs[i + 1]
-        span = ctx.stat(left.start, right.end)
+        span = _stat(ctx, left.start, right.end)
         if span.log_p < left.log_p and span.log_p < right.log_p:
             ctx._record("merge", (left, right), span)
             segs[i:i + 2] = [span]
@@ -526,7 +532,7 @@ def test_quiet_segments_match_full_refinement(seed, n, blocks, sides, background
 def test_overlapping_input_raises(pieces):
     ctx = _context(np.zeros(60) + 0.5)
     with pytest.raises(ValidationError, match="overlap"):
-        refine_all(ctx, [ctx.stat(s, e) for s, e in pieces])
+        refine_all(ctx, [_stat(ctx, s, e) for s, e in pieces])
 
 
 class TestQuietMoveStop:
@@ -543,13 +549,13 @@ class TestQuietMoveStop:
 
     def test_optimal_segment_makes_four_moves(self, calls):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        seg = ctx.stat(10, 30)
+        seg = _stat(ctx, 10, 30)
         assert refinement.refine_segment(ctx, seg, 0, 40) == seg
         assert calls == ["expand_left", "expand_right", "shrink_left", "shrink_right"]
 
     def test_optimal_segment_skips_every_move(self, calls):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        seg = ctx.stat(10, 30)
+        seg = _stat(ctx, 10, 30)
         assert refine_all(ctx, [seg]) == [seg]
         assert calls == []
 
@@ -561,7 +567,7 @@ class TestQuietMoveStop:
         values = np.zeros(70)
         values[10:30], values[30:54] = -5.0, 1.0
         ctx = _context(values)
-        a, b = ctx.stat(10, a_end), ctx.stat(b_start, 54)
+        a, b = _stat(ctx, 10, a_end), _stat(ctx, b_start, 54)
         assert a.log_p < b.log_p
         return ctx, a, b
 
@@ -606,7 +612,7 @@ class TestQuietMoveStop:
         values = np.zeros(80)
         values[10:30], values[40:64] = -5.0, 1.0
         ctx = _context(values)
-        a, b = ctx.stat(10, 33), ctx.stat(40, 64)
+        a, b = _stat(ctx, 10, 33), _stat(ctx, 40, 64)
         lo_ok, hi_ok = refinement._quiet_limits(ctx, [a, b])
         assert lo_ok[0] == 81 and (lo_ok[1], hi_ok[1]) == (0, 80)
         out = refine_all(ctx, [a, b])
@@ -618,6 +624,6 @@ class TestQuietMoveStop:
         # expand_left recovers the planted start; the next four moves find
         # nothing, where a second full pass would have made eight calls
         ctx = _context(_block_profile(40, 10, 30, 3.0))
-        assert refinement.refine_segment(ctx, ctx.stat(14, 30), 0, 40).interval == (10, 30)
+        assert refinement.refine_segment(ctx, _stat(ctx, 14, 30), 0, 40).interval == (10, 30)
         assert calls == ["expand_left", "expand_right", "shrink_left", "shrink_right",
                          "expand_left"]

@@ -372,9 +372,9 @@ def test_segment_stats_matches_scalar_ops():
 @example(values=[0.0] * 10 + [50.0] * 20 + [-50.0] * 20, background=-1.0,
          sigma=0.05, sides="one")
 def test_scan_rows_equal_scalar_kernels(values, background, sigma, sides):
-    # the batch path (scan) and the scalar path (segment_stats, ctx.stat)
-    # must agree bit for bit: refinement compares re-scored windows with
-    # scanned log p by strict <
+    # the batch path (scan) and the scalar paths (segment_stats, and
+    # refinement's ctx.z with log_p_value) must agree bit for bit:
+    # refinement compares re-scored windows with scanned log p by strict <
     profile = Profile(np.array(values))
     ps = build_prefix_sums(profile)
     noise = NoiseModel(sigma, background=background)
@@ -385,5 +385,5 @@ def test_scan_rows_equal_scalar_kernels(values, background, sigma, sides):
     for i in range(len(table)):
         start, end = int(table.start[i]), int(table.end[i])
         _, z, log_p = segment_stats(ps, noise, start, end, sides)
-        seg = ctx.stat(start, end)
-        assert (table.z[i], table.log_p[i]) == (z, log_p) == (seg.z, seg.log_p)
+        ctx_z = ctx.z(start, end)
+        assert (table.z[i], table.log_p[i]) == (z, log_p) == (ctx_z, log_p_value(ctx_z, sides))
