@@ -98,7 +98,7 @@ class SegmentRecord:
 def _decode(source) -> str:
     if isinstance(source, bytes):
         try:
-            return source.decode("utf-8")
+            return source.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise ProfileParseError(f"input is not UTF-8 text: {exc}") from None
     if isinstance(source, str):

@@ -11,15 +11,16 @@ it strictly improves, and the move ends. Proposals never cross a committed
 neighbor or the profile edge; they are truncated to the nearest legal
 boundary. The moves run in a cycle and stop once four in a row leave the
 segment unchanged. Most selected segments never move: before the walk, one
-batch over all of them (_quiet_limits) scores every boundary their first
-four moves would score, and a segment none of those improves is kept as it
-is, without running the moves, while its limits give it no more room than
-the batch checked.
+batch over all of them (_quiet) scores every boundary their first four
+moves could score with no neighbor in the way, and a segment none of those
+improves is kept as it is, without running the moves. A neighbor only
+shortens a step, so such a segment would come back unchanged whatever room
+its neighbors leave it.
 
-Every comparison with a known p-value compares z keys first: |z| for a
-two-sided test, z for a one-sided one. log_p_value does not increase as
-the key grows, so a boundary whose key lies below _floor(k), k the key of
-the segment it must beat, cannot have a strictly smaller log p, and its
+Every comparison with a known p-value compares z keys first (_key): |z|
+for a two-sided test, z for a one-sided one. log_p_value does not increase
+as the key grows, so a boundary whose key lies below _floor(k), k the key
+of the segment it must beat, cannot have a strictly smaller log p, and its
 log p is never computed. Only the boundaries at or above the floor get an
 exact log p, and that exact value alone decides. A gap of GAP_BATCH_MIN or
 more boundaries is scored in one pass over a prefix-sum slice with the
@@ -39,6 +40,7 @@ p-value, which bounds the whole process.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import cycle
 
@@ -77,26 +79,35 @@ class RefineContext:
             self.trace.append((op, before, after))
 
 
-def _floor(key: float) -> float:
+def _key(sides: str):
+    """The z key as a function of a float or an array: |z| two-sided, z one-sided.
+
+    log_p_value does not increase as the key grows.
+    """
+    return abs if sides == "two" else operator.pos
+
+
+def _floor(key):
     """A z key below this has a log p no smaller than that of ``key`` itself.
 
-    log_p_value is non-increasing in the key (|z| two-sided, z one-sided)
-    up to rounding of about an ulp of log p; a relative 1e-9 of the key
-    moves log p by orders of magnitude more than that, everywhere.
+    log_p_value is non-increasing in the key up to rounding of about an ulp
+    of log p; a relative 1e-9 of the key moves log p by orders of magnitude
+    more than that, everywhere. Works on a float or an array.
     """
     return key - 1e-9 * (1.0 + abs(key))
 
 
-def _band(z: float, sides: str) -> tuple[float, float]:
-    """(low, high) such that every z' with low < z' < high has a log p no smaller than z's.
+def _beats(ctx: RefineContext, z: float, than: Candidate) -> float | None:
+    """The log p of ``z`` if it is strictly smaller than ``than``'s, else None.
 
-    These are the z' whose key lies below _floor of z's key: -floor < z' <
-    floor two-sided (an empty band when floor <= 0), z' < floor one-sided.
+    The log p is computed only if z's key reaches the floor of ``than``'s.
     """
-    if sides == "two":
-        floor = _floor(abs(z))
-        return -floor, floor
-    return -math.inf, _floor(z)
+    sides = ctx.cfg.sides
+    key = _key(sides)
+    if key(z) < _floor(key(than.z)):
+        return None
+    log_p = log_p_value(z, sides)
+    return log_p if log_p < than.log_p else None
 
 
 #: Boundary moves in the order refine_segment applies them, each mapped to
@@ -111,8 +122,8 @@ MOVES = {
 
 #: Gaps of at least this many boundaries are scored in one batch, shorter
 #: ones one boundary at a time. The scalar loop costs ~0.2 us per boundary
-#: whose z falls in the band and ~2 us per gap; a batch ~10 us per gap, plus
-#: ~20 us for the log p kernel once any boundary leaves the band. They
+#: whose key lies below the floor and ~2 us per gap; a batch ~10 us per gap,
+#: plus ~20 us for the log p kernel once any boundary reaches the floor. They
 #: break even near 50-60 boundaries, and refine time on dense profiles is
 #: flat from 48 to 128. At the default w_max and K few gaps reach 64
 #: boundaries; at w_max 3000, scoring every gap one boundary at a time
@@ -128,9 +139,11 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
     than ``cur``. Boundaries are scored outermost first and only a strictly
     better p replaces the best so far, so ties keep the longer segment; in
     a batch, argmin's first minimum is that same choice. A boundary gets a
-    log p only if its z lies outside the band of the best so far.
+    log p only if its key reaches the floor of the best so far's key.
     """
     sides = ctx.cfg.sides
+    key = _key(sides)
+    floor = _floor(key(cur.z))
     cum = ctx.ps.cumulative
     # the gap's segments share the fixed edge ``anchor``; their sums and
     # lengths, outermost (longest) first
@@ -138,26 +151,25 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
         anchor, sums, longest = cur.end, cum[cur.end] - cum[lo:hi], cur.end - lo
     else:
         anchor, sums, longest = cur.start, cum[lo:hi][::-1] - cum[cur.start], hi - 1 - cur.start
-    low, high = _band(cur.z, sides)
     if hi - lo < GAP_BATCH_MIN:
         background, sigma = ctx.noise.background, ctx.noise.sigma
         best, log_p_best = None, cur.log_p
         for n, total in zip(range(longest, longest - (hi - lo), -1), sums.tolist()):
             # z_statistic's operations, in its order
             z = (total / n - background) * math.sqrt(n) / sigma
-            if low < z < high:
+            if key(z) < floor:
                 continue
             log_p = log_p_value(z, sides)
             if log_p < log_p_best:
                 best, log_p_best = (n, z), log_p
-                low, high = _band(z, sides)
+                floor = _floor(key(z))
         if best is None:
             return None
         n, z = best
     else:
         lengths = np.arange(longest, longest - (hi - lo), -1)
         z = z_statistic_batch(sums, lengths, ctx.noise)
-        rows = np.flatnonzero((z <= low) | (z >= high))
+        rows = np.flatnonzero(key(z) >= floor)
         if not rows.size:
             return None
         log_p = log_p_value_batch(z[rows], sides)
@@ -178,8 +190,8 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
     stop at ``lo`` (left edge) or ``hi`` (right edge): the end of the left
     neighbor or 0, and the start of the right neighbor or the profile
     length. Inward moves keep at least one point. The jump gets a log p
-    only if its z lies outside the current segment's band (_band); the
-    skipped gap is searched by _search_gap.
+    only if its key reaches the floor of the current segment's (_beats);
+    the skipped gap is searched by _search_gap.
     """
     left, outward = MOVES[op]
     sign = -1 if left == outward else 1
@@ -188,7 +200,6 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
     else:
         limit = lo if left else hi
 
-    sides = ctx.cfg.sides
     cur = seg
     while True:
         edge = cur.start if left else cur.end
@@ -198,14 +209,12 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
         proposal = edge + sign * step
         start, end = (proposal, cur.end) if left else (cur.start, proposal)
         z = ctx.z(start, end)
-        low, high = _band(cur.z, sides)
-        if not low < z < high:
-            log_p = log_p_value(z, sides)
-            if log_p < cur.log_p:
-                jumped = Candidate(start, end, z, log_p)
-                ctx._record(op, cur, jumped)
-                cur = jumped
-                continue
+        log_p = _beats(ctx, z, cur)
+        if log_p is not None:
+            jumped = Candidate(start, end, z, log_p)
+            ctx._record(op, cur, jumped)
+            cur = jumped
+            continue
         lo, hi = min(edge, proposal) + 1, max(edge, proposal)
         best = _search_gap(ctx, cur, lo, hi, left) if lo < hi else None
         if best is not None:
@@ -231,34 +240,30 @@ def refine_segment(ctx: RefineContext, seg: Candidate, lo: int, hi: int) -> Cand
             return seg
 
 
-def _quiet_limits(ctx: RefineContext, segs: list[Candidate]) -> tuple[list[int], list[int]]:
-    """Limits (lo_ok, hi_ok) between which refine_segment leaves each segment as it is.
+def _quiet(ctx: RefineContext, segs: list[Candidate]) -> list[bool]:
+    """Whether refine_segment leaves each segment as it is, between any neighbors.
 
-    ``segs`` is disjoint and sorted by start. One batch scores, for every
-    segment [s, e) between its neighbors (lo the previous end or 0, hi the
-    next start or n) and for each of the four moves, every boundary the
-    move's first step scores: the jump and the skipped gap, at distance
-    1..step from the moving edge, with step = min(ceil(L/K), room) and room
-    s - lo, hi - e, or L - 1 for a shrink. A move changes the segment only
-    if one of them has a strictly smaller log p, which only a boundary
-    whose z lies outside the segment's band (_band) can have, so only those
-    get a log p. Where none does,
-    every move is quiet, and stays quiet between limits that let each move
-    score no boundary beyond these: lo' >= lo and hi' <= hi, or any limit
-    on a side where room already held a whole step. Those bounds are
-    returned; a segment some move can change gets lo_ok = n + 1, which no
-    limit meets. At most 4 * sum(ceil(L/K)) boundaries get a z.
+    One batch scores, for every segment [s, e) and each of the four moves,
+    every boundary the move's first step scores with no neighbor in the
+    way: the jump and the skipped gap, at distance 1..step from the moving
+    edge, with step = min(ceil(L/K), room) and room s or n - e outward,
+    L - 1 for a shrink. A neighbor only shortens a step, so between any
+    limits a move's first step scores a subset of these. A move changes
+    the segment only if one of them has a strictly smaller log p, which
+    only a boundary whose key reaches the segment's floor can have, so only
+    those get a log p. A segment none of them improves is cleared: every
+    move leaves it as it is, wherever its neighbors stand. At most
+    4 * sum(ceil(L/K)) boundaries get a z.
     """
-    m, n = len(segs), ctx.ps.n
+    m, n, sides = len(segs), ctx.ps.n, ctx.cfg.sides
+    key = _key(sides)
     start = np.fromiter((seg.start for seg in segs), np.int64, m)
     end = np.fromiter((seg.end for seg in segs), np.int64, m)
-    lo = np.concatenate(([0], end[:-1]))
-    hi = np.concatenate((start[1:], [n]))
     step = -((start - end) // ctx.cfg.k_refine)
     parts = []
     for left, outward in MOVES.values():
         sign = -1 if left == outward else 1
-        room = (start - lo if left else hi - end) if outward else end - start - 1
+        room = (start if left else n - end) if outward else end - start - 1
         count = np.minimum(step, room)
         which = np.repeat(np.arange(m), count)
         # 1..count over each segment's run of boundaries
@@ -268,14 +273,13 @@ def _quiet_limits(ctx: RefineContext, segs: list[Candidate]) -> tuple[list[int],
     which, first, last = (np.concatenate(column) for column in zip(*parts))
     cum = ctx.ps.cumulative
     z = z_statistic_batch(cum[last] - cum[first], last - first, ctx.noise)
-    band = np.array([_band(seg.z, ctx.cfg.sides) for seg in segs])[which]
-    rows = np.flatnonzero((z <= band[:, 0]) | (z >= band[:, 1]))
+    floor = _floor(key(np.fromiter((seg.z for seg in segs), np.float64, m)))
+    rows = np.flatnonzero(key(z) >= floor[which])
     log_p = np.fromiter((seg.log_p for seg in segs), np.float64, m)
-    lo_ok = np.where(start - lo < step, lo, 0)
-    hi_ok = np.where(hi - end < step, hi, n)
-    better = log_p_value_batch(z[rows], ctx.cfg.sides) < log_p[which[rows]]
-    lo_ok[which[rows[better]]] = n + 1
-    return lo_ok.tolist(), hi_ok.tolist()
+    better = log_p_value_batch(z[rows], sides) < log_p[which[rows]]
+    quiet = np.ones(m, dtype=bool)
+    quiet[which[rows[better]]] = False
+    return quiet.tolist()
 
 
 def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]:
@@ -283,10 +287,9 @@ def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]
 
     ``selected`` must be disjoint (ValidationError otherwise). Each segment
     refines between its neighbors in start order as they stand at that
-    moment, refined or not. A segment whose limits at that moment lie within
-    the ones _quiet_limits found for it is kept as it is, without running
-    refine_segment, which would return it unchanged. Returns the refined
-    segments sorted by start.
+    moment, refined or not. The segments _quiet clears are kept as they
+    are, without running refine_segment, which would return them
+    unchanged. Returns the refined segments sorted by start.
     """
     segs = sorted(selected, key=lambda c: c.start)
     for a, b in zip(segs, segs[1:]):
@@ -294,13 +297,11 @@ def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]
             raise ValidationError(f"segments [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap")
     if not segs:
         return segs
-    lo_ok, hi_ok = _quiet_limits(ctx, segs)
+    quiet = _quiet(ctx, segs)
     last = len(segs) - 1
-    for i in sorted(range(len(segs)), key=lambda i: segs[i].sort_key):
+    for i in sorted((i for i, q in enumerate(quiet) if not q), key=lambda i: segs[i].sort_key):
         lo = segs[i - 1].end if i > 0 else 0
         hi = segs[i + 1].start if i < last else ctx.ps.n
-        if lo >= lo_ok[i] and hi <= hi_ok[i]:
-            continue
         segs[i] = refine_segment(ctx, segs[i], lo, hi)
     return segs
 
@@ -312,22 +313,17 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
     right boundary and includes any gap points. After a merge the new
     segment is re-tested against its left neighbor, then its right one; the
     pass ends at a fixpoint where no consecutive pair can merge. The span
-    beats both iff it beats the better member, so it gets a log p only if
-    its z lies outside that member's band. Returns the segments sorted by
-    start.
+    beats both iff it beats the better member (_beats). Returns the
+    segments sorted by start.
     """
-    sides = ctx.cfg.sides
     merged: list[Candidate] = []
     for right in sorted(selected, key=lambda c: c.start):
         while merged:
             left = merged[-1]
             better = left if left.log_p <= right.log_p else right
             z = ctx.z(left.start, right.end)
-            low, high = _band(better.z, sides)
-            if low < z < high:
-                break
-            log_p = log_p_value(z, sides)
-            if not log_p < better.log_p:
+            log_p = _beats(ctx, z, better)
+            if log_p is None:
                 break
             span = Candidate(left.start, right.end, z, log_p)
             ctx._record("merge", (left, right), span)

@@ -40,15 +40,6 @@ class BoundarySet:
         edges[i:i] = (start, end)
         return True
 
-    def overlaps(self, start: int, end: int) -> bool:
-        """True iff [start, end) intersects any stored interval."""
-        if not self.add(start, end):
-            return True
-        # take the probe back out; its start is the last edge equal to start
-        i = bisect_right(self.edges, start) - 1
-        del self.edges[i:i + 2]
-        return False
-
     def insert(self, start: int, end: int) -> None:
         if not self.add(start, end):
             raise ValidationError(f"interval [{start}, {end}) overlaps a committed segment")

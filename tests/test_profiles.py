@@ -1,3 +1,4 @@
+import codecs
 import io
 import math
 
@@ -148,6 +149,32 @@ def test_bad_bedgraph_end_names_its_line(parse, text, message):
 def test_source_must_be_str_or_bytes(read):
     with pytest.raises(ValidationError, match="expected str or bytes input, got BytesIO"):
         read(io.BytesIO(b"1.0\n"))
+
+
+class TestByteOrderMark:
+    # a UTF-8 byte-order mark, as some editors write it, is not part of line 1
+    BOM = codecs.BOM_UTF8
+
+    def test_plain(self):
+        assert parse_profile(self.BOM + b"1.0\n2.5\n").values.tolist() == [1.0, 2.5]
+
+    def test_bedgraph_track_line_is_skipped(self):
+        data = self.BOM + b"track type=bedGraph\nchr2\t0\t25\t0.5\nchr2\t25\t50\t-0.25\n"
+        profile = parse_profile(data, format="bedgraph")
+        assert profile.values.tolist() == [0.5, -0.25]
+        assert profile.label == "chr2"
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_tsv_label(self, rows):
+        data = self.BOM + "".join(f"chr1\t{i}\t0.5\n" for i in range(rows)).encode()
+        profile = parse_profile(data, format="tsv")
+        assert profile.label == "chr1"
+        assert profile.positions.tolist() == list(range(rows))
+
+    def test_segment_table_header(self):
+        profile = Profile(np.ones(5))
+        table = write_segments(_result([_record(0, 5, 1.0, 2.0, 0.5)]), profile)
+        assert read_segments(self.BOM + table) == read_segments(table)
 
 
 class TestUnknownFormat:

@@ -452,7 +452,7 @@ def _reference_move(ctx, seg, op, lo, hi):
 
 
 def _log_p_everywhere_refine_all(ctx, selected):
-    """refine_all without _quiet_limits, every move through _reference_move."""
+    """refine_all without _quiet, every move through _reference_move."""
     segs = sorted(selected, key=lambda c: c.start)
     for i in sorted(range(len(segs)), key=lambda i: segs[i].sort_key):
         lo = segs[i - 1].end if i > 0 else 0
@@ -509,22 +509,59 @@ def test_matches_log_p_everywhere_reference(seed, n, dof, scale, sides, backgrou
 
 
 def _nothing_quiet(ctx, segs):
-    # limits no segment meets, so every segment runs refine_segment
-    return [ctx.ps.n + 1] * len(segs), [-1] * len(segs)
+    # clear no segment, so every segment runs refine_segment
+    return [False] * len(segs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(**_PROFILES, gap_batch_min=st.sampled_from([ALL_BATCHED, ALL_SCALAR]))
 def test_quiet_segments_match_full_refinement(seed, n, blocks, sides, background, k_refine,
                                               gap_batch_min):
-    # skipping the segments _quiet_limits clears must not change any
+    # skipping the segments _quiet clears must not change any
     # accepted move, its z and log p bits, or any refined or merged segment
     values = _planted(seed, n, blocks, background)
     cfg = _config(n, sides, background, k_refine)
     skipped = _refined(values, cfg, gap_batch_min)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(refinement, "_quiet_limits", _nothing_quiet)
+        mp.setattr(refinement, "_quiet", _nothing_quiet)
         assert _refined(values, cfg, gap_batch_min) == skipped
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 240),
+       dof=st.sampled_from([1.0, 2.0, 3.0]), scale=st.sampled_from([0.3, 1.0, 4.0]),
+       sides=st.sampled_from(["two", "one"]), background=st.sampled_from([0.0, 0.4, -0.7]),
+       k_refine=st.sampled_from([2, 3, 10]),
+       gap_batch_min=st.sampled_from([ALL_BATCHED, ALL_SCALAR]))
+def test_cleared_segment_stays_between_any_limits(seed, n, dof, scale, sides, background,
+                                                   k_refine, gap_batch_min):
+    # refine_segment returns a segment _quiet clears as it is, for any lo in
+    # [0, start] and hi in [end, n]: the profile edges, the segment's own
+    # edges and random limits between. The segments are the selected ones
+    # and random intervals, which a shrink can improve. Student-t noise
+    # (Cauchy at dof 1) with p_s = 1 selects segments of every key,
+    # negative one-sided z too
+    rng = np.random.default_rng(seed)
+    values = background + scale * rng.standard_t(dof, size=n)
+    profile = Profile(values)
+    ps = build_prefix_sums(profile)
+    noise = NoiseModel(1.0, background)
+    cfg = ScanConfig(w_max=min(n, 60), p_s=1.0, k_refine=k_refine, background=background,
+                     sides=sides)
+    ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
+    segs = select_nonoverlapping(scan(profile, ps, noise, cfg))
+    for start in rng.integers(0, n, size=20).tolist():
+        segs.append(_stat(ctx, start, int(rng.integers(start + 1, n + 1))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refinement, "GAP_BATCH_MIN", gap_batch_min)
+        for seg, quiet in zip(segs, refinement._quiet(ctx, segs)):
+            if not quiet:
+                continue
+            limits = [(0, n), (seg.start, seg.end)]
+            limits += zip(rng.integers(0, seg.start + 1, size=3).tolist(),
+                          rng.integers(seg.end, n + 1, size=3).tolist())
+            for lo, hi in limits:
+                assert refinement.refine_segment(ctx, seg, lo, hi) is seg, (seg, lo, hi)
 
 
 @pytest.mark.parametrize("pieces", [[(10, 30), (29, 40)], [(20, 40), (0, 50)],
@@ -584,22 +621,22 @@ class TestQuietMoveStop:
         return refine_calls
 
     def test_quiet_segment_refines_once_its_limit_moves_away(self, refine_calls):
-        # b touches a = [10, 34), so no move of b can change it; a then
-        # shrinks to [10, 30), and b, given the room, grows left
+        # b touches a = [10, 34), so no move of b can change it yet, but b
+        # would grow left into [30, 34) with no neighbor in the way, so it
+        # is not cleared; a shrinks to [10, 30), and b, given the room,
+        # grows left
         ctx, a, b = self._neighbors(34, 34)
-        lo_ok, hi_ok = refinement._quiet_limits(ctx, [a, b])
-        assert lo_ok[0] == 71 and (lo_ok[1], hi_ok[1]) == (34, 70)  # a can move, b cannot
+        assert refinement._quiet(ctx, [a, b]) == [False, False]
         out = refine_all(ctx, [a, b])
         assert [seg.interval for seg in out] == [(10, 30), (30, 54)]
         assert refine_calls == [(10, 34), (34, 54)]
 
     def test_quiet_segment_stays_when_its_limit_moves_closer(self, refine_calls):
         # b = [30, 54) is quiet with a = [10, 28) ending 2 points away; a
-        # grows to [10, 30), and b, with less room than it was cleared for,
-        # is kept without a move
+        # grows to [10, 30), and b, cleared whatever room it has, is kept
+        # without a move
         ctx, a, b = self._neighbors(28, 30)
-        lo_ok, hi_ok = refinement._quiet_limits(ctx, [a, b])
-        assert lo_ok[0] == 71 and (lo_ok[1], hi_ok[1]) == (28, 70)
+        assert refinement._quiet(ctx, [a, b]) == [False, True]
         out = refine_all(ctx, [a, b])
         assert [seg.interval for seg in out] == [(10, 30), (30, 54)]
         assert out[1] is b
@@ -613,8 +650,7 @@ class TestQuietMoveStop:
         values[10:30], values[40:64] = -5.0, 1.0
         ctx = _context(values)
         a, b = _stat(ctx, 10, 33), _stat(ctx, 40, 64)
-        lo_ok, hi_ok = refinement._quiet_limits(ctx, [a, b])
-        assert lo_ok[0] == 81 and (lo_ok[1], hi_ok[1]) == (0, 80)
+        assert refinement._quiet(ctx, [a, b]) == [False, True]
         out = refine_all(ctx, [a, b])
         assert [seg.interval for seg in out] == [(10, 30), (40, 64)]
         assert out[1] is b

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -41,24 +42,26 @@ def _greedy_oracle(candidates):
 
 class TestBoundarySet:
     def test_empty_never_overlaps(self):
-        assert not BoundarySet().overlaps(0, 10)
+        assert BoundarySet().add(0, 10)
 
     def test_half_open_adjacency(self):
         bs = BoundarySet()
         bs.insert(10, 20)
-        assert not bs.overlaps(20, 25)
-        assert not bs.overlaps(0, 10)
+        assert bs.add(20, 25)
         # touching intervals store their shared edge 10 twice
-        bs.insert(0, 10)
-        assert bs.overlaps(9, 10)
-        assert bs.overlaps(10, 11)
-        assert not bs.overlaps(20, 21)
+        assert bs.add(0, 10)
+        assert not bs.add(9, 10)
+        assert not bs.add(10, 11)
+        assert not bs.add(19, 21)
+        assert bs.add(25, 26)
+        assert bs.edges[:-1] == [0, 10, 10, 20, 20, 25, 25, 26]
 
     def test_containment(self):
         bs = BoundarySet()
         bs.insert(10, 20)
-        assert bs.overlaps(15, 16)
-        assert bs.overlaps(0, 100)
+        assert not bs.add(15, 16)
+        assert not bs.add(0, 100)
+        assert bs.edges[:-1] == [10, 20]
 
     def test_insert_overlapping_rejected(self):
         bs = BoundarySet()
@@ -68,24 +71,22 @@ class TestBoundarySet:
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValidationError):
-            BoundarySet().overlaps(5, 5)
+            BoundarySet().add(5, 5)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 8), st.booleans()),
                     max_size=40))
     def test_matches_linear_scan(self, ops):
-        # random inserts and queries on a short axis, so touching and nested
-        # intervals are common
+        # random inserts and probes on a short axis, so touching and nested
+        # intervals are common; a probe adds to a copy of the set
         bs, stored = BoundarySet(), []
         for start, length, store in ops:
             end = start + length
             expected = any(start < e and s < end for s, e in stored)
-            if store:
-                assert bs.add(start, end) is not expected
-                if not expected:
-                    stored.append((start, end))
-            else:
-                assert bs.overlaps(start, end) is expected
+            target = bs if store else copy.deepcopy(bs)
+            assert target.add(start, end) is not expected
+            if store and not expected:
+                stored.append((start, end))
             assert bs.edges[:-1] == sorted(x for iv in stored for x in iv)
 
 

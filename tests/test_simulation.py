@@ -1,3 +1,5 @@
+import codecs
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,11 @@ class TestManifest:
     def test_malformed_length_header_names_the_line(self):
         with pytest.raises(ProfileParseError, match="line 2: malformed length header"):
             read_truth_manifest(b"#profile_id\tstart\tend\tmu\n# length=abc\n")
+
+    def test_byte_order_mark_is_not_part_of_the_header(self):
+        truth = {"p": [PlantedSegment(1, 2, 0.5)]}
+        data = codecs.BOM_UTF8 + write_truth_manifest(truth, length=10)
+        assert read_truth_manifest(data) == (truth, 10)
 
     def test_profile_plain_round_trip(self, tmp_path):
         from segscan import read_profile
