@@ -102,7 +102,8 @@ def _decode(source) -> str:
         except UnicodeDecodeError as exc:
             raise ProfileParseError(f"input is not UTF-8 text: {exc}") from None
     if isinstance(source, str):
-        return source
+        # text read with encoding="utf-8" keeps the byte-order mark
+        return source.removeprefix("\ufeff")
     raise ValidationError(f"expected str or bytes input, got {type(source).__name__}")
 
 

@@ -118,6 +118,12 @@ MOVES = {
     "shrink_left": (True, False),
     "shrink_right": (False, False),
 }
+# Per move of MOVES, how far one step of distance d moves the first and the
+# last edge, in units of d: the moving edge goes out or in, the other stays.
+_FIRST_SIGN, _LAST_SIGN = np.array([
+    ((-1 if outward else 1, 0) if left else (0, 1 if outward else -1))
+    for left, outward in MOVES.values()
+]).T
 
 
 #: Gaps of at least this many boundaries are scored in one batch, shorter
@@ -254,23 +260,27 @@ def _quiet(ctx: RefineContext, segs: list[Candidate]) -> list[bool]:
     those get a log p. A segment none of them improves is cleared: every
     move leaves it as it is, wherever its neighbors stand. At most
     4 * sum(ceil(L/K)) boundaries get a z.
+
+    The boundaries are built in one pass over a (4, m) layout, one row per
+    move and one column per segment: each cell holds a run of boundaries at
+    distance 1..step, and a per-move sign moves the first or the last edge
+    by that distance. The number of numpy calls does not grow with m.
     """
     m, n, sides = len(segs), ctx.ps.n, ctx.cfg.sides
     key = _key(sides)
     start = np.fromiter((seg.start for seg in segs), np.int64, m)
     end = np.fromiter((seg.end for seg in segs), np.int64, m)
-    step = -((start - end) // ctx.cfg.k_refine)
-    parts = []
-    for left, outward in MOVES.values():
-        sign = -1 if left == outward else 1
-        room = (start if left else n - end) if outward else end - start - 1
-        count = np.minimum(step, room)
-        which = np.repeat(np.arange(m), count)
-        # 1..count over each segment's run of boundaries
-        dist = np.arange(1, which.size + 1) - np.repeat(np.cumsum(count) - count, count)
-        edge = (start if left else end)[which] + sign * dist
-        parts.append((which, edge, end[which]) if left else (which, start[which], edge))
-    which, first, last = (np.concatenate(column) for column in zip(*parts))
+    length = end - start
+    # row r of the (4, m) layout is the r-th move of MOVES, column j segment
+    # j: how far the moving edge can go with no neighbor in the way
+    room = np.stack((start, n - end, length - 1, length - 1))
+    count = np.minimum(-(-length // ctx.cfg.k_refine), room).ravel()
+    cell = np.repeat(np.arange(4 * m), count)
+    move, which = np.divmod(cell, m)
+    # 1..count over each (move, segment) run of boundaries
+    dist = np.arange(1, cell.size + 1) - np.repeat(np.cumsum(count) - count, count)
+    first = start[which] + _FIRST_SIGN[move] * dist
+    last = end[which] + _LAST_SIGN[move] * dist
     cum = ctx.ps.cumulative
     z = z_statistic_batch(cum[last] - cum[first], last - first, ctx.noise)
     floor = _floor(key(np.fromiter((seg.z for seg in segs), np.float64, m)))

@@ -7,7 +7,12 @@ covered. All sums of one scale come from one strided-slice subtraction of
 the prefix-sum array, so the scan costs one subtraction per window placement
 instead of one pass per window; the predicted operation counts of the
 brute-force and memoized strategies are available from predicted_op_counts
-for comparison against an instrumented run.
+for comparison against an instrumented run. Every scale's stride, placement
+count and sum-space bounds are computed in one vector pass before the scan,
+and the windows' starts and ends once after it, so per scale the scan makes
+only a few numpy calls: the subtraction, the compare(s), a nonzero and, when
+the scale has hits, a gather of their sums. On short profiles those calls,
+not the windows, are most of the scan's cost.
 
 Every window whose tail probability is at or below the retention threshold
 p_s becomes a candidate. The scan keeps candidates as the numpy columns of a
@@ -135,7 +140,8 @@ class CandidateTable:
     length. ``scan`` sets the row order with a sort on log_p that keeps
     arrival order among ties, over rows that arrive longest scale first.
     ``candidate(i)`` builds the Candidate of row ``i``; stages that need
-    only a few rows as objects (selection) build just those.
+    only a few rows as objects (selection) build just those, from the
+    columns.
     """
 
     start: np.ndarray
@@ -206,47 +212,56 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     lengths = range(cfg.w_min, cfg.w_max + 1) if exhaustive else window_lengths(cfg)
     log_ps_max = math.log(cfg.p_s)
     cut = z_cut(log_ps_max, cfg.sides)
+    # Every scale's placement and bounds in one vector pass, longest first,
+    # so the rows arrive in (length descending, start) order and a sort on
+    # log_p that keeps it among ties finishes the table order.
+    w = np.array(lengths[::-1], dtype=np.int64)
+    stride = np.ones_like(w) if exhaustive else -(-w // STRIDE_DIVISOR)
+    m = (n - w) // stride + 1
+    # plus a right-aligned final window so the profile tail is scanned; it
+    # sits at index m, where m * stride > n - w
+    placed = m + ((n - w) % stride > 0)
+    # |z| >= cut in sum space is s >= hi or s <= lo, about c = w * background;
+    # z >= cut (one-sided) is s >= hi. Each rounding in z_statistic_batch and
+    # in the bounds is a relative error of at most 2**-53 in a term of size
+    # |s|, |c| or |half|, and near a bound |s| is about |c| + |half| at most,
+    # so a window whose computed z passes lies within a few ulp of
+    # |c| + |half| of the exact bound. Moving the bounds outwards by
+    # _SUM_SLACK * (|c| + |half|), orders of magnitude more, keeps every such
+    # window, also when s / w - background cancels. The exact log p test
+    # below still decides membership.
+    c = w * noise.background
+    half = cut * noise.sigma * np.sqrt(w)
+    slack = _SUM_SLACK * (np.abs(c) + np.abs(half))
+    hi, lo = c + half - slack, c - half + slack
+    if counter is not None:
+        counter.add(placed.sum())
     cum = ps.cumulative
     # one buffer each for the sums and the two compares, reused by every scale
     sums_buf = np.empty(n + 1)
     above_buf = np.empty(n + 1, dtype=bool)
     below_buf = np.empty(n + 1, dtype=bool)
-    found = []
-    # longest first, so the rows arrive in (length descending, start) order
-    # and a sort on log_p that keeps it among ties finishes the table order
-    for w in reversed(lengths):
-        stride = 1 if exhaustive else math.ceil(w / STRIDE_DIVISOR)
-        m = (n - w) // stride + 1
-        # plus a right-aligned final window so the profile tail is scanned;
-        # it sits at index m, where m * stride > n - w
-        placed = m + ((n - w) % stride > 0)
-        sums = sums_buf[:placed]
-        np.subtract(cum[w::stride], cum[:n - w + 1:stride], out=sums[:m])
-        if placed > m:
-            sums[m] = cum[n] - cum[n - w]
-        if counter is not None:
-            counter.add(placed)
-        # |z| >= cut in sum space is s >= hi or s <= lo, about
-        # c = w * background; z >= cut (one-sided) is s >= hi. Each
-        # rounding in z_statistic_batch and in the bounds is a relative
-        # error of at most 2**-53 in a term of size |s|, |c| or |half|, and
-        # near a bound |s| is about |c| + |half| at most, so a window whose
-        # computed z passes lies within a few ulp of |c| + |half| of the
-        # exact bound. Moving the bounds outwards by
-        # _SUM_SLACK * (|c| + |half|), orders of magnitude more, keeps every
-        # such window, also when s / w - background cancels. The exact log p
-        # test below still decides membership.
-        c = w * noise.background
-        half = cut * noise.sigma * math.sqrt(w)
-        slack = _SUM_SLACK * (abs(c) + abs(half))
-        hi, lo = c + half - slack, c - half + slack
-        near = np.greater_equal(sums, hi, out=above_buf[:placed])
-        if cfg.sides == "two":
-            np.logical_or(near, np.less_equal(sums, lo, out=below_buf[:placed]), out=near)
+    two = cfg.sides == "two"
+    hits, near_sums = [], []
+    for w_i, stride_i, m_i, placed_i, hi_i, lo_i in zip(
+            w.tolist(), stride.tolist(), m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
+        sums = sums_buf[:placed_i]
+        np.subtract(cum[w_i::stride_i], cum[:n - w_i + 1:stride_i], out=sums[:m_i])
+        if placed_i > m_i:
+            sums[m_i] = cum.item(n) - cum.item(n - w_i)
+        near = np.greater_equal(sums, hi_i, out=above_buf[:placed_i])
+        if two:
+            np.logical_or(near, np.less_equal(sums, lo_i, out=below_buf[:placed_i]), out=near)
         near = near.nonzero()[0]
-        start = np.minimum(near * stride, n - w)
-        found.append((start, start + w, sums[near]))
-    start, end, sums = (np.concatenate(column) for column in zip(*found))
+        hits.append(near)
+        if near.size:
+            near_sums.append(sums[near])
+    # each hit's index within its scale, and its scale's stride and length
+    count = [near.size for near in hits]
+    near = np.concatenate(hits)
+    start = np.minimum(near * np.repeat(stride, count), np.repeat(n - w, count))
+    end = start + np.repeat(w, count)
+    sums = np.concatenate(near_sums) if near_sums else np.empty(0)
     z = z_statistic_batch(sums, end - start, noise)
     log_p = log_p_value_batch(z, cfg.sides)
     keep = np.flatnonzero(log_p <= log_ps_max)

@@ -90,5 +90,7 @@ def select_nonoverlapping(table: CandidateTable, p_s: float | None = None) -> li
             edges = np.array(committed.edges)
         first += rows
         rows = min(2 * rows, BLOCK_ROWS)
-    picked.sort(key=table.start.__getitem__)
-    return [table.candidate(row) for row in picked]
+    rows = np.array(picked, dtype=np.intp)
+    rows = rows[np.argsort(table.start[rows])]
+    return list(map(Candidate, *(column[rows].tolist() for column in
+                                 (table.start, table.end, table.z, table.log_p))))

@@ -98,12 +98,10 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     z = z_statistic_batch(sums, end - start, noise)
     log_ps = log_p_value_batch(z, cfg.sides)
     log_threshold, mask = bh_select_log(log_ps, cfg.alpha, m_total=m_total)
-    records = [
-        SegmentRecord(start=seg.start, end=seg.end, mean=mean, z=z, log_p=log_p,
-                      significant=flag)
-        for seg, mean, z, log_p, flag in zip(segments, (sums / (end - start)).tolist(),
-                                             z.tolist(), log_ps.tolist(), mask.tolist())
-    ]
+    # positional, in SegmentRecord's field order
+    records = list(map(SegmentRecord, start.tolist(), end.tolist(),
+                       (sums / (end - start)).tolist(), z.tolist(), log_ps.tolist(),
+                       mask.tolist()))
     if cfg.p_b is not None:
         records = apply_biological_cutoff(records, cfg.p_b, cfg.background)
     threshold = max(math.exp(log_threshold), TINY_P) if mask.any() else 0.0

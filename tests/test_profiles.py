@@ -176,6 +176,15 @@ class TestByteOrderMark:
         table = write_segments(_result([_record(0, 5, 1.0, 2.0, 0.5)]), profile)
         assert read_segments(self.BOM + table) == read_segments(table)
 
+    # text decoded as "utf-8" rather than "utf-8-sig" still starts with one
+    def test_plain_text(self):
+        assert parse_profile("\ufeff1.0\n2.5\n").values.tolist() == [1.0, 2.5]
+
+    def test_segment_table_header_text(self):
+        profile = Profile(np.ones(5))
+        table = write_segments(_result([_record(0, 5, 1.0, 2.0, 0.5)]), profile).decode()
+        assert read_segments("\ufeff" + table) == read_segments(table)
+
 
 class TestUnknownFormat:
     @pytest.mark.parametrize("data", [b"# x\n", b"1.0\n"])

@@ -564,6 +564,51 @@ def test_cleared_segment_stays_between_any_limits(seed, n, dof, scale, sides, ba
                 assert refinement.refine_segment(ctx, seg, lo, hi) is seg, (seg, lo, hi)
 
 
+def _reference_quiet(ctx, segs):
+    """_quiet from segment_stats: every first-step boundary of the four moves,
+    with no neighbor in the way, and an exact log p for each."""
+    n, k, sides = ctx.ps.n, ctx.cfg.k_refine, ctx.cfg.sides
+    out = []
+    for seg in segs:
+        s, e = seg.start, seg.end
+        step = -(-seg.length // k)
+        boundaries = [(s - d, e) for d in range(1, min(step, s) + 1)]
+        boundaries += [(s, e + d) for d in range(1, min(step, n - e) + 1)]
+        for d in range(1, min(step, seg.length - 1) + 1):
+            boundaries += [(s + d, e), (s, e - d)]
+        out.append(not any(segment_stats(ctx.ps, ctx.noise, a, b, sides)[2] < seg.log_p
+                           for a, b in boundaries))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 240),
+       dof=st.sampled_from([1.0, 3.0]), scale=st.sampled_from([0.3, 1.0, 4.0]),
+       sides=st.sampled_from(["two", "one"]), background=st.sampled_from([0.0, 0.4, -0.7]),
+       k_refine=st.sampled_from([2, 3, 10]))
+def test_quiet_matches_scalar_reference(seed, n, dof, scale, sides, background, k_refine):
+    # _quiet clears exactly the segments no first-step boundary improves,
+    # not a subset of them. The segments are the selected ones, intervals
+    # at both profile edges, length-1 intervals, whose shrink room is 0, and
+    # random intervals; with p_s = 1 one-sided selections include segments
+    # of negative z
+    rng = np.random.default_rng(seed)
+    values = background + scale * rng.standard_t(dof, size=n)
+    profile = Profile(values)
+    ps = build_prefix_sums(profile)
+    noise = NoiseModel(1.0, background)
+    cfg = ScanConfig(w_max=min(n, 60), p_s=1.0, k_refine=k_refine, background=background,
+                     sides=sides)
+    ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
+    segs = select_nonoverlapping(scan(profile, ps, noise, cfg))
+    intervals = [(0, n), (0, int(rng.integers(1, n + 1))), (int(rng.integers(0, n)), n)]
+    intervals += [(i, i + 1) for i in rng.integers(0, n, size=5).tolist()]
+    for start in rng.integers(0, n, size=10).tolist():
+        intervals.append((start, int(rng.integers(start + 1, n + 1))))
+    segs += [_stat(ctx, start, end) for start, end in intervals]
+    assert refinement._quiet(ctx, segs) == _reference_quiet(ctx, segs)
+
+
 @pytest.mark.parametrize("pieces", [[(10, 30), (29, 40)], [(20, 40), (0, 50)],
                                     [(5, 10), (5, 12)]])
 def test_overlapping_input_raises(pieces):

@@ -247,14 +247,24 @@ class TestPrefilter:
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=60),
            background=st.floats(-3.0, 3.0).filter(lambda b: b != 0.0),
-           sigma=st.sampled_from([0.05, 1.0, 4.0]), p_s=_P_S, sides=_SIDES)
+           sigma=st.sampled_from([0.05, 1.0, 4.0]), p_s=_P_S, sides=_SIDES,
+           w_min=st.integers(1, 2))
     @example(values=[0.0] * 10 + [50.0] * 20 + [-50.0] * 20, background=1.0,
-             sigma=0.05, p_s=5e-324, sides="two")
+             sigma=0.05, p_s=5e-324, sides="two", w_min=1)
     # one-sided at p_s = 1 the cut is -inf: windows at z < -100 must stay
-    @example(values=[-50.0] * 30, background=2.0, sigma=0.05, p_s=1.0, sides="one")
-    def test_matches_unfiltered_reference(self, values, background, sigma, p_s, sides):
+    @example(values=[-50.0] * 30, background=2.0, sigma=0.05, p_s=1.0, sides="one", w_min=1)
+    # every sum is exactly its bound's centre: no scale has a hit
+    @example(values=[1.5] * 20, background=1.5, sigma=1.0, p_s=1e-3, sides="two", w_min=1)
+    # n == w_max == 38 after clamping, and 38 is a scan length: the longest
+    # scale is one window over the whole profile, with no tail window
+    @example(values=[4.0] * 19 + [-1.0] * 19, background=0.5, sigma=1.0, p_s=0.5,
+             sides="two", w_min=1)
+    # w_min > 1: the scales are 5, 6, ..., 12, 13, 15, ..., 34, 38
+    @example(values=[0.0] * 15 + [3.0] * 12 + [-2.0] * 20, background=0.25, sigma=1.0,
+             p_s=0.5, sides="one", w_min=5)
+    def test_matches_unfiltered_reference(self, values, background, sigma, p_s, sides, w_min):
         _assert_matches_reference(values, NoiseModel(sigma, background=background),
-                                  ScanConfig(w_max=40, p_s=p_s, sides=sides))
+                                  ScanConfig(w_min=w_min, w_max=40, p_s=p_s, sides=sides))
 
     @settings(max_examples=60, deadline=None)
     @given(case=_near_background(), p_s=_P_S, sides=_SIDES)

@@ -117,6 +117,11 @@ class TestManifest:
         data = codecs.BOM_UTF8 + write_truth_manifest(truth, length=10)
         assert read_truth_manifest(data) == (truth, 10)
 
+    def test_byte_order_mark_in_text_is_not_part_of_the_header(self):
+        truth = {"p": [PlantedSegment(1, 2, 0.5)]}
+        text = "\ufeff" + write_truth_manifest(truth, length=10).decode()
+        assert read_truth_manifest(text) == (truth, 10)
+
     def test_profile_plain_round_trip(self, tmp_path):
         from segscan import read_profile
         profile, _ = simulate(SimSpec(length=200, seed=5))
