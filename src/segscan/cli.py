@@ -126,7 +126,8 @@ def _emit(data: bytes, output) -> None:
     """Write ``data`` to stdout, or atomically to the file ``output``.
 
     A failed file write raises SegscanError naming ``output`` and leaves no
-    temporary file behind.
+    temporary file behind. The file gets the mode a plain open would give
+    it, 0o666 less the umask, not mkstemp's 0o600.
     """
     if output is None:
         sys.stdout.buffer.write(data)
@@ -136,6 +137,9 @@ def _emit(data: bytes, output) -> None:
     with _naming(output):
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
         try:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, path)

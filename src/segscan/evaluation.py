@@ -8,9 +8,10 @@ perfect.
 
 brute_force_segment is the independent reference segmenter used by the
 equivalence tests: it evaluates every segment in the length band by direct
-summation (no prefix sums) and selects greedily with a linear-scan overlap
-check (no trees). It is quadratic and refuses profiles longer than max_n
-unless told otherwise.
+summation (no prefix sums), orders the survivors with one lexsort, and
+selects greedily against a coverage mask of the positions already taken
+(no trees, no blocks). It is quadratic and refuses profiles longer than
+max_n unless told otherwise.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .profiles import Profile
-from .scanning import Candidate, ScanConfig
+from .scanning import Candidate, CandidateTable, ScanConfig
 from .stats import NoiseModel, log_p_value_batch
 
 
@@ -81,37 +82,40 @@ def score(pred_mask: np.ndarray, truth_mask: np.ndarray) -> EvalReport:
 
 
 def enumerate_candidates_dense(profile: Profile, noise: NoiseModel,
-                               cfg: ScanConfig | None = None) -> list[Candidate]:
+                               cfg: ScanConfig | None = None) -> CandidateTable:
     """Every segment with length in [w_min, w_max] and p <= p_s, by direct summation.
 
-    Deliberately avoids the prefix-sum path so it can serve as an
-    independent check of the memoized scan. Quadratic; callers are expected
-    to keep profiles small.
+    Deliberately avoids the prefix-sum path and the scan's sort so it can
+    serve as an independent check of the memoized scan. The rows come back
+    in the scan's key order (log p, then longer, then leftmost). Quadratic;
+    callers are expected to keep profiles small.
     """
     cfg = (cfg or ScanConfig()).clamped(len(profile))
     values = profile.values
     log_ps_max = math.log(cfg.p_s)
-    pool: list[Candidate] = []
+    columns = []
     for w in range(cfg.w_min, cfg.w_max + 1):
         sums = sliding_window_view(values, w).sum(axis=1)
         z = (sums / w - noise.background) * np.sqrt(w) / noise.sigma
         log_p = log_p_value_batch(z, cfg.sides)
-        for start in np.flatnonzero(log_p <= log_ps_max):
-            start = int(start)
-            pool.append(Candidate(start, start + w, float(z[start]), float(log_p[start])))
-    pool.sort(key=lambda c: c.sort_key)
-    return pool
+        keep = np.flatnonzero(log_p <= log_ps_max)
+        columns.append((keep, keep + w, z[keep], log_p[keep]))
+    start, end, z, log_p = (np.concatenate(column) for column in zip(*columns))
+    order = np.lexsort((start, start - end, log_p))  # the last key is the primary one
+    return CandidateTable(start[order], end[order], z[order], log_p[order])
 
 
-def greedy_disjoint(pool) -> list[Candidate]:
-    """Greedy disjoint selection by ascending p with a linear-scan overlap check."""
-    ranked = sorted(pool, key=lambda c: c.sort_key)
+def greedy_disjoint(table: CandidateTable) -> list[Candidate]:
+    """Greedy disjoint selection over the table's rows, in their order, by a coverage mask."""
+    if (table.start < 0).any() or (table.end <= table.start).any():
+        raise ValidationError("greedy_disjoint needs rows with 0 <= start < end")
+    covered = bytearray(int(table.end.max(initial=0)))
     picked: list[Candidate] = []
-    for cand in ranked:
-        if all(cand.end <= other.start or cand.start >= other.end for other in picked):
-            picked.append(cand)
-    picked.sort(key=lambda c: c.start)
-    return picked
+    for row, (start, end) in enumerate(zip(table.start.tolist(), table.end.tolist())):
+        if 1 not in covered[start:end]:
+            covered[start:end] = b"\x01" * (end - start)
+            picked.append(table.candidate(row))
+    return sorted(picked, key=lambda c: c.start)
 
 
 def brute_force_segment(profile: Profile, noise: NoiseModel, max_n: int = 500,

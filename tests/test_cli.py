@@ -12,7 +12,7 @@ import segscan
 from segscan import cli
 from segscan.cli import main
 from segscan.profiles import read_segments
-from segscan.simulation import SimSpec, simulate, write_profile_plain
+from segscan.simulation import SimSpec, simulate, write_profile_plain, write_truth_manifest
 
 DOCUMENTED_FLAGS = ["--wmin", "--wmax", "--rho", "--ps", "--alpha", "--pb",
                     "--k-refine", "--background", "--sigma", "--sides",
@@ -364,6 +364,30 @@ class TestEvaluateAndBench:
         truth.write_text("# length=10\n#profile_id\tstart\tend\tmu\np\t7\t5\t1.0\n")
         assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
         assert f"{truth}: line 3: invalid planted interval [7, 5)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
+    def test_outputs_get_the_umask_mode(self, tmp_path, umask):
+        # a plain open would create 0o666 less the umask; a temporary file
+        # renamed into place must not leave its own 0o600 behind
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        _write_profile(suite / "profile_00.txt", length=300)
+        (suite / "truth.tsv").write_bytes(write_truth_manifest({"profile_00": []}, length=300))
+        preds = tmp_path / "preds"
+        preds.mkdir()
+        outputs = [preds / "profile_00.segments.tsv", tmp_path / "report.tsv",
+                   tmp_path / "times.tsv"]
+        previous = os.umask(umask)
+        try:
+            assert main(["segment", str(suite / "profile_00.txt"), "--output",
+                         str(outputs[0])]) == 0
+            assert main(["evaluate", "--truth", str(suite / "truth.tsv"), "--pred-dir",
+                         str(preds), "--output", str(outputs[1])]) == 0
+            assert main(["bench", "--suite", str(suite), "--repetitions", "1",
+                         "--output", str(outputs[2])]) == 0
+        finally:
+            os.umask(previous)
+        assert [oct(path.stat().st_mode & 0o777) for path in outputs] == [oct(0o666 & ~umask)] * 3
 
     def test_bench_reports_median_times(self, suite_dir, tmp_path):
         out = tmp_path / "times.tsv"

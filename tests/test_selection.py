@@ -173,10 +173,11 @@ def test_blocked_select_matches_greedy_oracle(block_rows, pool):
     # blocks of a few rows make every example span many blocks, so the
     # prefilter against earlier blocks decides most rejections; one block
     # of 2048 leaves every row to the survivor walk
+    table = table_from_candidates(pool)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(selection, "BLOCK_ROWS", block_rows)
-        got = select_nonoverlapping(table_from_candidates(pool))
-    assert got == greedy_disjoint(pool)
+        got = select_nonoverlapping(table)
+    assert got == greedy_disjoint(table)
 
 
 def _pool_of(rows, seed):
@@ -197,5 +198,5 @@ def test_select_matches_greedy_oracle_at_block_edges(rows, seed):
     # the first block holds FIRST_BLOCK_ROWS rows: 63 and 64 rows fill
     # one block, 65 start a second, and 5,000 run through every block size
     # up to BLOCK_ROWS and past it
-    pool = _pool_of(rows, seed)
-    assert select_nonoverlapping(table_from_candidates(pool)) == greedy_disjoint(pool)
+    table = table_from_candidates(_pool_of(rows, seed))
+    assert select_nonoverlapping(table) == greedy_disjoint(table)
