@@ -18,8 +18,7 @@ from .refinement import RefineContext, merge_adjacent, refine_all
 from .scanning import (Candidate, CandidateTable, ScanConfig,
                        predicted_op_counts, scan, window_lengths)
 from .selection import select_nonoverlapping
-from .significance import (SegmentationResult, apply_biological_cutoff,
-                           bh_select_log, finalize)
+from .significance import SegmentationResult, bh_select_log, finalize
 from .simulation import (PlantedSegment, SimSpec, benchmark_suite,
                          read_truth_manifest, simulate, write_truth_manifest)
 from .stats import (NoiseModel, OpCounter, PrefixSums, build_prefix_sums,
@@ -33,7 +32,7 @@ __all__ = [
     "NoiseModel", "OpCounter", "PlantedSegment", "PrefixSums", "Profile",
     "ProfileParseError", "RefineContext", "ScanConfig", "SegmentRecord",
     "SegmentationResult", "SegscanError", "SimSpec", "ValidationError",
-    "apply_biological_cutoff", "benchmark_suite", "bh_select_log",
+    "benchmark_suite", "bh_select_log",
     "brute_force_segment", "build_prefix_sums",
     "enumerate_candidates_dense", "estimate_sigma_mad", "finalize",
     "greedy_disjoint", "log_p_value", "merge_adjacent",

@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .profiles import Profile
-from .scanning import Candidate, CandidateTable, ScanConfig
+from .scanning import Candidate, CandidateTable, ScanConfig, _check_background
 from .stats import NoiseModel, log_p_value_batch
 
 
@@ -87,10 +87,13 @@ def enumerate_candidates_dense(profile: Profile, noise: NoiseModel,
 
     Deliberately avoids the prefix-sum path and the scan's sort so it can
     serve as an independent check of the memoized scan. The rows come back
-    in the scan's key order (log p, then longer, then leftmost). Quadratic;
-    callers are expected to keep profiles small.
+    in the scan's key order (log p, then longer, then leftmost). Like the
+    scan, it raises ValidationError when ``noise.background`` differs from
+    the config's (0 when ``cfg`` is omitted). Quadratic; callers are
+    expected to keep profiles small.
     """
     cfg = (cfg or ScanConfig()).clamped(len(profile))
+    _check_background(noise, cfg)
     values = profile.values
     log_ps_max = math.log(cfg.p_s)
     columns = []

@@ -47,7 +47,7 @@ from itertools import cycle
 import numpy as np
 
 from .errors import ValidationError
-from .scanning import Candidate, ScanConfig
+from .scanning import Candidate, ScanConfig, _check_background
 from .selection import BoundarySet
 from .stats import (NoiseModel, PrefixSums, log_p_value, log_p_value_batch, z_statistic,
                     z_statistic_batch)
@@ -59,7 +59,8 @@ class RefineContext:
 
     ``trace``, when supplied, accumulates one entry per accepted move:
     ("expand_left"|..., before, after) for boundary moves and
-    ("merge", (left, right), span) for merges.
+    ("merge", (left, right), span) for merges. A ``noise`` whose background
+    differs from ``cfg.background`` raises ValidationError.
     """
 
     ps: PrefixSums
@@ -69,6 +70,9 @@ class RefineContext:
     # inserts the selected intervals into it
     boundaries: BoundarySet = field(default_factory=BoundarySet)
     trace: list | None = None
+
+    def __post_init__(self):
+        _check_background(self.noise, self.cfg)
 
     def z(self, start: int, end: int) -> float:
         """z score of [start, end) from prefix sums."""

@@ -54,6 +54,12 @@ class ScanConfig:
 
     Defaults: w_min 1, w_max 300, rho 1.1, p_s 0.001, alpha 0.01, K 10,
     biological cutoff disabled, background 0, two-sided test.
+
+    ``background`` is the baseline level of the run: segment_profile builds
+    its NoiseModel with it, so the z tests and the ``p_b`` cutoff measure
+    from the same level. scan, RefineContext, finalize and
+    enumerate_candidates_dense, which take a NoiseModel too, raise
+    ValidationError when the NoiseModel's background differs from it.
     """
 
     w_min: int = 1
@@ -157,6 +163,13 @@ class CandidateTable:
                          float(self.log_p[i]))
 
 
+def _check_background(noise: NoiseModel, cfg: ScanConfig) -> None:
+    """Raise ValidationError unless ``noise`` tests against ``cfg.background``."""
+    if noise.background != cfg.background:
+        raise ValidationError(f"NoiseModel background {noise.background!r} differs from "
+                              f"ScanConfig background {cfg.background!r}")
+
+
 def window_lengths(cfg: ScanConfig) -> list[int]:
     """Sorted deduplicated window lengths ceil(rho**i * w_min) up to w_max."""
     out: list[int] = []
@@ -189,7 +202,8 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     ps : PrefixSums
         Prefix sums of the profile values.
     noise : NoiseModel
-        Noise scale and background level for the z test.
+        Noise scale and background level for the z test; its background
+        must equal ``cfg.background``.
     cfg : ScanConfig
         Window range, growth factor, retention threshold, sidedness.
     exhaustive : bool
@@ -207,6 +221,7 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
         a compare against the sum-space bounds; z is computed only for the
         windows past those bounds, the p-value only once, over their z.
     """
+    _check_background(noise, cfg)
     cfg = cfg.clamped(ps.n)
     n = ps.n
     lengths = range(cfg.w_min, cfg.w_max + 1) if exhaustive else window_lengths(cfg)

@@ -3,20 +3,22 @@
 BH ranks the final segments (the refined, merged, disjoint set). Its
 denominator is ``m_total``, the size of the hypothesis family those segments
 were drawn from; the pipeline passes the number of candidates the scan
-retained. All segments are kept in the output with their significance flags
-so results can be re-thresholded without re-running the pipeline.
+retained. A segment is called when BH rejects it and, if ``p_b`` is set,
+its mean lies at least ``p_b`` from ``noise.background``, the baseline its
+z test used; finalize decides both in one mask. All segments are kept in
+the output with their significance flags so results can be re-thresholded
+without re-running the pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .profiles import Profile, SegmentRecord
-from .scanning import Candidate, ScanConfig
+from .scanning import Candidate, ScanConfig, _check_background
 from .stats import TINY_P, NoiseModel, PrefixSums, log_p_value_batch, z_statistic_batch
 
 
@@ -44,8 +46,6 @@ def bh_select_log(log_p: np.ndarray, alpha: float,
     when nothing is rejected.
     """
     log_p = np.asarray(log_p, dtype=np.float64)
-    if log_p.size == 0:
-        return -math.inf, np.zeros(0, dtype=bool)
     m = max(int(m_total or 0), log_p.size)
     order = np.argsort(log_p, kind="stable")
     ranked = log_p[order]
@@ -53,33 +53,15 @@ def bh_select_log(log_p: np.ndarray, alpha: float,
         critical = np.log(np.arange(1, log_p.size + 1) * alpha / m)
     passing = np.flatnonzero(ranked <= critical)
     k = int(passing[-1]) + 1 if passing.size else 0
-    mask_ranked = np.zeros(log_p.size, dtype=bool)
-    mask_ranked[:k] = True
-    mask = np.empty(log_p.size, dtype=bool)
-    mask[order] = mask_ranked
+    mask = np.zeros(log_p.size, dtype=bool)
+    mask[order[:k]] = True
     return (float(ranked[k - 1]) if k else -math.inf), mask
-
-
-def apply_biological_cutoff(records, p_b: float, background: float) -> list[SegmentRecord]:
-    """Clear the significant flag on records with |mean - background| < p_b.
-
-    The cutoff is a magnitude filter in raw signal units. All records stay
-    in the output; only flags change.
-    """
-    if not p_b >= 0:
-        raise ValidationError("p_b must be >= 0")
-    out = []
-    for record in records:
-        if abs(record.mean - background) < p_b:
-            record = replace(record, significant=False)
-        out.append(record)
-    return out
 
 
 def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
              noise: NoiseModel, ps: PrefixSums,
              m_total: int | None = None) -> SegmentationResult:
-    """Recompute statistics, run BH at cfg.alpha, apply the cutoff.
+    """Recompute statistics, then call segments by BH at cfg.alpha and the cutoff.
 
     Statistics are recomputed from the prefix sums ``ps`` under ``noise``
     rather than trusted from the refinement caches, in one pass of the
@@ -88,22 +70,24 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     ``m_total`` should be the number of candidates the scan retained (the
     hypothesis family the segments were drawn from); the pipeline supplies
     it. When omitted, the family is just the final segments, which is a
-    weaker correction. ``bh_threshold`` is 0 when nothing is rejected and
-    otherwise at least TINY_P, like SegmentRecord.p_value.
+    weaker correction. ``bh_threshold`` comes from BH alone, before the
+    cutoff: 0 when nothing is rejected and otherwise at least TINY_P, like
+    SegmentRecord.p_value.
     """
+    _check_background(noise, cfg)
     segments = sorted(refined, key=lambda c: c.start)
     start = np.fromiter((seg.start for seg in segments), np.int64, len(segments))
     end = np.fromiter((seg.end for seg in segments), np.int64, len(segments))
     sums = ps.cumulative[end] - ps.cumulative[start]
+    mean = sums / (end - start)
     z = z_statistic_batch(sums, end - start, noise)
     log_ps = log_p_value_batch(z, cfg.sides)
-    log_threshold, mask = bh_select_log(log_ps, cfg.alpha, m_total=m_total)
-    # positional, in SegmentRecord's field order
-    records = list(map(SegmentRecord, start.tolist(), end.tolist(),
-                       (sums / (end - start)).tolist(), z.tolist(), log_ps.tolist(),
-                       mask.tolist()))
+    log_threshold, called = bh_select_log(log_ps, cfg.alpha, m_total=m_total)
+    threshold = max(math.exp(log_threshold), TINY_P) if called.any() else 0.0
     if cfg.p_b is not None:
-        records = apply_biological_cutoff(records, cfg.p_b, cfg.background)
-    threshold = max(math.exp(log_threshold), TINY_P) if mask.any() else 0.0
+        called &= np.abs(mean - noise.background) >= cfg.p_b
+    # positional, in SegmentRecord's field order
+    records = map(SegmentRecord, start.tolist(), end.tolist(), mean.tolist(), z.tolist(),
+                  log_ps.tolist(), called.tolist())
     return SegmentationResult(records=tuple(records), bh_threshold=threshold,
                               config=cfg, noise=noise)

@@ -56,7 +56,12 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Known noise scale ``sigma`` and tested baseline ``background``."""
+    """Known noise scale ``sigma`` and tested baseline ``background``.
+
+    Every z test, and finalize's ``p_b`` cutoff, measures from
+    ``background``. The stages that also take a ScanConfig refuse a model
+    whose background differs from ``ScanConfig.background``.
+    """
 
     sigma: float
     background: float = 0.0

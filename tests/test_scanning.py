@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from segscan import (NoiseModel, Profile, ScanConfig, ValidationError,
-                     build_prefix_sums, predicted_op_counts, scan,
-                     window_lengths)
+from segscan import (NoiseModel, Profile, RefineContext, ScanConfig, ValidationError,
+                     build_prefix_sums, enumerate_candidates_dense, finalize,
+                     predicted_op_counts, scan, window_lengths)
 from segscan.stats import OpCounter, log_p_value_batch, z_cut
 
 
@@ -185,6 +186,29 @@ class TestScan:
         assert all(z > 0 for z in cands.z.tolist())
 
 
+_STAGES = {
+    "scan": lambda profile, ps, noise, cfg: scan(profile, ps, noise, cfg),
+    "RefineContext": lambda profile, ps, noise, cfg: RefineContext(ps=ps, noise=noise, cfg=cfg),
+    "finalize": lambda profile, ps, noise, cfg: finalize(profile, [], cfg, noise=noise, ps=ps),
+    "enumerate_candidates_dense":
+        lambda profile, ps, noise, cfg: enumerate_candidates_dense(profile, noise, cfg),
+}
+
+
+class TestBackgroundAgreement:
+    # the z tests and the cutoff read NoiseModel.background, segment_profile
+    # builds the model from ScanConfig.background: a stage given both
+    # refuses a pair that differs, by any amount
+    @pytest.mark.parametrize("stage", sorted(_STAGES))
+    @pytest.mark.parametrize("noise_bg, cfg_bg", [(0.3, 0.0), (0.0, -1.5), (1.0, 1.0 + 1e-12)])
+    def test_disagreeing_pair_raises(self, stage, noise_bg, cfg_bg):
+        profile = Profile(np.linspace(-1.0, 2.0, 50))
+        ps = build_prefix_sums(profile)
+        with pytest.raises(ValidationError, match="background") as info:
+            _STAGES[stage](profile, ps, NoiseModel(1.0, noise_bg), ScanConfig(background=cfg_bg))
+        assert repr(noise_bg) in str(info.value) and repr(cfg_bg) in str(info.value)
+
+
 def _unfiltered_scan(values, noise, cfg, exhaustive=False):
     # reference: log_p for every window of the grid, exact filter, lexsort
     n = len(values)
@@ -206,6 +230,8 @@ def _unfiltered_scan(values, noise, cfg, exhaustive=False):
 
 
 def _assert_matches_reference(values, noise, cfg, exhaustive=False):
+    # the scan refuses a config whose background differs from the noise model's
+    cfg = replace(cfg, background=noise.background)
     values = np.array(values, dtype=np.float64)
     profile = Profile(values)
     table = scan(profile, build_prefix_sums(profile), noise, cfg, exhaustive=exhaustive)
@@ -307,7 +333,8 @@ class TestPrefilter:
     def test_constant_profile_orders_ties_by_length_then_start(self, level, sides,
                                                                 w_min, rho):
         # z is 0 everywhere, so every log p ties
-        cfg = ScanConfig(w_min=w_min, w_max=120, rho=rho, p_s=1.0, sides=sides)
+        cfg = ScanConfig(w_min=w_min, w_max=120, rho=rho, p_s=1.0, sides=sides,
+                         background=level)
         values = np.full(400, level)
         _assert_matches_reference(values, NoiseModel(1.0, background=level), cfg)
         table = scan(Profile(values), build_prefix_sums(Profile(values)),

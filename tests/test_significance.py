@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from segscan import (NoiseModel, Profile, ScanConfig, SegmentRecord, ValidationError,
-                     apply_biological_cutoff, bh_select_log, finalize)
+from segscan import (NoiseModel, Profile, ScanConfig, ValidationError, bh_select_log,
+                     finalize)
 from segscan.scanning import Candidate
 from segscan.stats import build_prefix_sums, segment_stats
 
@@ -96,32 +96,53 @@ class TestBhSelect:
 
 
 class TestBiologicalCutoff:
-    def _records(self, means, significant=True):
-        return [SegmentRecord(start=10 * i, end=10 * i + 5, mean=mu, z=1.0,
-                              log_p=math.log(0.5), significant=significant)
-                for i, mu in enumerate(means)]
+    # Blocks of 2,000 points at background + mean, 100 apart: even a mean
+    # 0.1 off the background has z ~ 4.5, so BH alone calls every block and
+    # any flag cleared below was cleared by the cutoff.
+    def _finalize(self, means, p_b, background=0.0):
+        values = np.full(2100 * len(means), background)
+        intervals = [(2100 * i, 2100 * i + 2000) for i in range(len(means))]
+        for (start, end), mu in zip(intervals, means):
+            values[start:end] += mu
+        profile = Profile(values)
+        ps = build_prefix_sums(profile)
+        noise = NoiseModel(1.0, background=background)
+        segments = [Candidate(start, end, 0.0, 0.0) for start, end in intervals]
+        uncut = finalize(profile, segments, ScanConfig(background=background),
+                         noise=noise, ps=ps)
+        assert all(r.significant for r in uncut.records)
+        return finalize(profile, segments, ScanConfig(p_b=p_b, background=background),
+                        noise=noise, ps=ps)
 
     def test_small_mean_cleared(self):
-        out = apply_biological_cutoff(self._records([0.3]), p_b=0.5, background=0.0)
-        assert out[0].significant is False
+        out = self._finalize([0.3], p_b=0.5)
+        assert out.records[0].significant is False
 
     def test_absolute_value_kept(self):
-        out = apply_biological_cutoff(self._records([-0.9]), p_b=0.5, background=0.0)
-        assert out[0].significant is True
+        out = self._finalize([-0.9], p_b=0.5)
+        assert out.records[0].significant is True
 
     def test_all_records_retained(self):
-        records = self._records([0.1, 0.9, -0.2])
-        out = apply_biological_cutoff(records, p_b=0.5, background=0.0)
-        assert len(out) == 3
-        assert [r.significant for r in out] == [False, True, False]
+        out = self._finalize([0.1, 0.9, -0.2], p_b=0.5)
+        assert len(out.records) == 3
+        assert [r.significant for r in out.records] == [False, True, False]
 
     def test_nonzero_background(self):
-        out = apply_biological_cutoff(self._records([1.1]), p_b=0.5, background=1.0)
-        assert out[0].significant is False
+        # measured from the background both objects carry: 1.1 is 0.1 off
+        # it, 1.7 is 0.7 off it
+        out = self._finalize([0.1, 0.7], p_b=0.5, background=1.0)
+        assert [r.mean for r in out.records] == pytest.approx([1.1, 1.7])
+        assert [r.significant for r in out.records] == [False, True]
 
     def test_nan_cutoff_rejected(self):
         with pytest.raises(ValidationError, match="p_b"):
-            apply_biological_cutoff(self._records([1.1]), p_b=math.nan, background=0.0)
+            ScanConfig(p_b=math.nan)
+
+    def test_bh_threshold_ignores_cutoff(self):
+        uncut = self._finalize([0.3, -0.2], p_b=0.0)
+        cut = self._finalize([0.3, -0.2], p_b=0.5)
+        assert not any(r.significant for r in cut.records)
+        assert cut.bh_threshold == uncut.bh_threshold > 0.0
 
 
 class TestFinalize:

@@ -378,7 +378,7 @@ def test_scan_rows_equal_scalar_kernels(values, background, sigma, sides):
     profile = Profile(np.array(values))
     ps = build_prefix_sums(profile)
     noise = NoiseModel(sigma, background=background)
-    cfg = ScanConfig(w_max=40, p_s=1.0, sides=sides)
+    cfg = ScanConfig(w_max=40, p_s=1.0, sides=sides, background=background)
     table = scan(profile, ps, noise, cfg)
     ctx = RefineContext(ps=ps, noise=noise, cfg=cfg)
     assert len(table) > 0
