@@ -13,6 +13,13 @@ Columns past the value, comment lines (leading ``#``) and ``track`` lines
 non-numeric values ("", "NA", "nan") and positions that do not increase are
 rejected with the offending line number, never imputed or reordered.
 
+Each rule is stated once: ``Profile`` owns the value and position rules
+(finite values, integral and strictly increasing positions), and
+``_COLUMNS`` owns the tsv and bedGraph layout (column indexes and the
+message for a short row). The bulk parser defers to the line parser
+wherever ``Profile`` rejects its columns, and the line parser names the
+offending line.
+
 The segment table is written with 6 significant digits for the float columns
 (mean, z, p_value); the ``bed`` variant is the same rows without the header.
 All indices in memory are 0-based half-open; when the profile carries genomic
@@ -122,9 +129,12 @@ def _parse_value(token: str, lineno: int) -> float:
     return value
 
 
-# numeric columns of a tsv or bedGraph row and their types; the label is text
-_COLUMNS = {"tsv": ((1, 2), [("position", "i8"), ("value", "f8")]),
-            "bedgraph": ((1, 2, 3), [("position", "i8"), ("end", "i8"), ("value", "f8")])}
+# The layout of a tsv or bedGraph row: the index of each numeric column (the
+# label is column 0, text), and the message for a row too short to hold them.
+_COLUMNS = {"tsv": ({"position": 1, "value": 2},
+                    "expected 3 tab-separated columns (label, position, value)"),
+            "bedgraph": ({"position": 1, "end": 2, "value": 3},
+                         "expected 4 bedGraph columns (chrom, start, end, value)")}
 
 
 def parse_profile(source, format: str = "plain") -> Profile:
@@ -157,12 +167,12 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
     body = lines[first:] if first else lines
     if format == "plain":
         # float() strips the whitespace line.strip() does and rejects every
-        # line _skip would skip, so this either matches the loop or raises
+        # line _skip would skip, so this either matches the loop or raises;
+        # Profile rejects non-finite values
         try:
-            values = np.fromiter(map(float, body), np.float64, len(body))
-        except ValueError:
+            return Profile(np.fromiter(map(float, body), np.float64, len(body)))
+        except (ValueError, ValidationError):
             return None
-        return Profile(values) if np.isfinite(values).all() else None
     # numpy's int parser reads non-ASCII text int() rejects ("5\u01fe" as 512),
     # and it strips "\x1f" as whitespace where int() and float() reject it
     if not text.isascii() or "\x1f" in text:
@@ -172,18 +182,18 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
     label = body[0].partition("\t")[0]
     if not all(map(str.startswith, body, repeat(label + "\t"))):
         return None
-    usecols, dtype = _COLUMNS[format]
+    columns = _COLUMNS[format][0]
+    dtype = [(name, "f8" if name == "value" else "i8") for name in columns]
+    # Profile rejects non-finite values and positions that do not increase;
+    # it never sees a bedGraph end
     try:
         rows = np.loadtxt(body, dtype=dtype, delimiter="\t", comments=None, quotechar=None,
-                          usecols=usecols, ndmin=1)
-    except ValueError:
+                          usecols=tuple(columns.values()), ndmin=1)
+        if "end" in columns and not (rows["end"] > rows["position"]).all():
+            return None
+        return Profile(rows["value"], positions=rows["position"], label=label)
+    except (ValueError, ValidationError):
         return None
-    positions, values = rows["position"], rows["value"]
-    if format == "bedgraph" and not (rows["end"] > positions).all():
-        return None
-    if not (np.isfinite(values).all() and (positions[1:] > positions[:-1]).all()):
-        return None
-    return Profile(values, positions=positions, label=label)
 
 
 _INT64 = np.iinfo(np.int64)
@@ -204,6 +214,7 @@ def _parse_lines(text: str, format: str) -> Profile:
     values: list[float] = []
     positions: list[int] = []
     label: str | None = None
+    columns, short_row = _COLUMNS.get(format, ({}, ""))
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if _skip(line):
@@ -212,32 +223,25 @@ def _parse_lines(text: str, format: str) -> Profile:
             values.append(_parse_value(line.strip(), lineno))
             continue
         fields = line.split("\t")
-        if format == "tsv":
-            if len(fields) < 3:
-                raise ProfileParseError("expected 3 tab-separated columns (label, position, value)",
-                                        line=lineno)
-            row_label, pos_token, value_token = fields[0], fields[1], fields[2]
-        else:
-            if len(fields) < 4:
-                raise ProfileParseError("expected 4 bedGraph columns (chrom, start, end, value)",
-                                        line=lineno)
-            row_label, pos_token, value_token = fields[0], fields[1], fields[3]
+        if len(fields) <= max(columns.values()):
+            raise ProfileParseError(short_row, line=lineno)
+        row_label = fields[0]
         if label is None:
             label = row_label
         elif row_label != label:
             raise ProfileParseError(
                 f"multiple labels in one file ({label!r} then {row_label!r}); "
                 "segment one profile at a time", line=lineno)
-        position = _parse_int(pos_token, "position", lineno)
+        position = _parse_int(fields[columns["position"]], "position", lineno)
         if positions and position <= positions[-1]:
             raise ProfileParseError("positions must be strictly increasing "
                                     f"({positions[-1]} then {position})", line=lineno)
-        if format == "bedgraph":
-            end = _parse_int(fields[2], "end", lineno)
+        if "end" in columns:
+            end = _parse_int(fields[columns["end"]], "end", lineno)
             if end <= position:
                 raise ProfileParseError(f"end {end} is not above start {position}", line=lineno)
         positions.append(position)
-        values.append(_parse_value(value_token, lineno))
+        values.append(_parse_value(fields[columns["value"]], lineno))
 
     if not values:
         raise ProfileParseError("empty input: no data lines found")

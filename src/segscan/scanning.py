@@ -170,20 +170,19 @@ def _check_background(noise: NoiseModel, cfg: ScanConfig) -> None:
                               f"ScanConfig background {cfg.background!r}")
 
 
+def _scales(cfg: ScanConfig):
+    """Yield the real-valued window lengths w_min * rho**i <= w_max, i = 0, 1, ..."""
+    i = 0
+    # compared before any ceil: w_min * rho may overflow to inf
+    while (length := cfg.w_min * cfg.rho ** i) <= cfg.w_max:
+        yield length
+        i += 1
+
+
 def window_lengths(cfg: ScanConfig) -> list[int]:
     """Sorted deduplicated window lengths ceil(rho**i * w_min) up to w_max."""
-    out: list[int] = []
-    i = 0
-    while True:
-        # compared before ceil: w_min * rho may overflow to inf
-        length = cfg.w_min * cfg.rho ** i
-        if length > cfg.w_max:
-            break
-        w = math.ceil(length)
-        if not out or w != out[-1]:
-            out.append(w)
-        i += 1
-    return out
+    # the scales grow, so their ceils come in sorted order
+    return list(dict.fromkeys(map(math.ceil, _scales(cfg))))
 
 
 # Relative loosening of the sum-space bounds; see scan.
@@ -303,19 +302,14 @@ def predicted_op_counts(n: int, cfg: ScanConfig) -> tuple[int, int]:
     C_b  = sum_i (N - rho**i * w_min) * rho**i * w_min   (recompute every sum)
     C_b* = N + sum_i (N - rho**i * w_min)               (extend running sums)
 
-    with i ranging while rho**i * w_min <= w_max. The sums are evaluated on
-    the real-valued window lengths and rounded to the nearest integer.
+    with i ranging while rho**i * w_min <= w_max, after w_max is clamped to
+    N as the scan clamps it (ScanConfig.clamped, which raises
+    ValidationError for N < w_min). The sums are evaluated on the
+    real-valued window lengths and rounded to the nearest integer.
     """
-    if n < cfg.w_min:
-        raise ValidationError(f"n={n} is smaller than w_min={cfg.w_min}")
     c_brute = 0.0
     c_memo = float(n)
-    i = 0
-    while True:
-        w = cfg.w_min * cfg.rho ** i
-        if w > cfg.w_max:
-            break
+    for w in _scales(cfg.clamped(n)):
         c_brute += (n - w) * w
         c_memo += n - w
-        i += 1
     return round(c_brute), round(c_memo)

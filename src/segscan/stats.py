@@ -11,10 +11,12 @@ log Phi(-a) for 0 <= a <= 37 is a degree-7 Taylor polynomial about the
 nearest node k/32, from a table built at import: node values come from
 math.erfc, derivatives from the inverse Mills ratio recurrence
 lambda' = lambda^2 - a*lambda. Past 37 the asymptotic series of Phi(-a)
-takes over. The scalar kernel (log_p_value) and the batch kernel
-(log_p_value_batch) run the same IEEE operations in the same order, and
-every transcendental step is a numpy ufunc in both, so they agree bit for
-bit.
+takes over. The batch kernel (log_p_value_batch) handles every z. The
+scalar kernel (log_p_value) is the hot path, refinement's one segment at
+a time: it evaluates the table itself only for two-sided z and for
+one-sided z >= 0, with |z| <= 37, in the batch kernel's IEEE operations
+and order, and hands every other case (one-sided z < 0, |z| > 37, nan)
+to the batch kernel, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -319,18 +321,14 @@ def log_p_value(z: float, sides: str = "two") -> float:
     log_p_value_batch.
     """
     a = abs(z)
-    if a <= _A_MAX:
-        k = round(a * _NODES_PER_UNIT)
-        c0, c1, c2, c3, c4, c5, c6, c7 = _ROWS[k]
-        t = a - k / _NODES_PER_UNIT
-        q = t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * (c5 + t * (c6 + t * c7))))))
-        if sides == "two":
-            return LOG_TWO + (c0 + q)
-        if z >= 0.0:
-            return c0 + q
-        untilted = q - t * _COEF[_TILT_ROW, k]
-        return float(np.log1p(-(_COEF[_PHI_ROW, k] * np.exp(untilted))))
-    return float(_tail(z, sides))
+    if not (a <= _A_MAX and (sides == "two" or z >= 0.0)):
+        # one-sided z < 0, |z| > _A_MAX and nan
+        return float(log_p_value_batch([z], sides)[0])
+    k = round(a * _NODES_PER_UNIT)
+    c0, c1, c2, c3, c4, c5, c6, c7 = _ROWS[k]
+    t = a - k / _NODES_PER_UNIT
+    q = t * (c1 + t * (c2 + t * (c3 + t * (c4 + t * (c5 + t * (c6 + t * c7))))))
+    return LOG_TWO + (c0 + q) if sides == "two" else c0 + q
 
 
 def log_p_value_batch(z, sides: str = "two") -> np.ndarray:

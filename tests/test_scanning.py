@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
@@ -356,23 +356,47 @@ class TestPrefilter:
         _assert_matches_reference(values, NoiseModel(1.0), cfg)
 
 
+@st.composite
+def _scale_configs(draw):
+    w_min = draw(st.integers(1, 40))
+    return ScanConfig(w_min=w_min, w_max=draw(st.integers(w_min, 400)),
+                      rho=draw(st.floats(1.01, 4.0)), sides=draw(_SIDES))
+
+
 class TestPredictedOpCounts:
     def test_single_scale_example(self):
         c_b, c_star = predicted_op_counts(100, ScanConfig(w_min=10, w_max=10, rho=1.1))
         assert (c_b, c_star) == (900, 190)
 
-    def test_direct_evaluation_oracle(self):
-        cfg = ScanConfig()
-        c_b, c_star = predicted_op_counts(1000, cfg)
-        brute = memo = 0.0
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 600), cfg=_scale_configs())
+    @example(n=1000, cfg=ScanConfig())
+    @example(n=1000, cfg=ScanConfig(w_min=2, w_max=300, rho=1e308))
+    @example(n=100, cfg=ScanConfig(w_min=10, w_max=10))
+    def test_direct_evaluation_oracle(self, n, cfg):
+        assume(n >= cfg.w_min)
+        w_max = min(cfg.w_max, n)  # the scan's clamp
+        brute, memo, lengths = 0.0, float(n), []
         i = 0
-        while cfg.w_min * cfg.rho ** i <= cfg.w_max:
+        while cfg.w_min * cfg.rho ** i <= w_max:
             w = cfg.w_min * cfg.rho ** i
-            brute += (1000 - w) * w
-            memo += 1000 - w
+            brute += (n - w) * w
+            memo += n - w
+            if math.ceil(w) not in lengths:
+                lengths.append(math.ceil(w))
             i += 1
-        assert c_b == round(brute)
-        assert c_star == round(1000 + memo)
+        assert predicted_op_counts(n, cfg) == (round(brute), round(memo))
+        assert window_lengths(cfg.clamped(n)) == lengths
+
+    @pytest.mark.parametrize("n", [37, 50, 100, 250])
+    def test_short_profile_counts_only_the_scales_it_scans(self, n):
+        # the scales longer than the profile are never placed; counting them
+        # made C_b negative (-289,726 at n = 50)
+        counts = predicted_op_counts(n, ScanConfig())
+        assert counts == predicted_op_counts(n, ScanConfig().clamped(n))
+        assert min(counts) > 0
+        with pytest.raises(ValidationError):
+            predicted_op_counts(n, ScanConfig(w_min=n + 1, w_max=n + 1))
 
     def test_memoized_always_cheaper(self):
         rng = np.random.default_rng(4)
@@ -394,14 +418,15 @@ class TestPredictedOpCounts:
         _, c_star = predicted_op_counts(2000, cfg)
         assert counter.count <= 3 * c_star
 
-    @pytest.mark.parametrize("n, cfg", [
-        (2000, ScanConfig()),
-        (37, ScanConfig()),
-        (1000, ScanConfig(w_min=3, w_max=90, rho=1.7)),
-        (501, ScanConfig(w_min=7, w_max=7)),
-        (64, ScanConfig(w_min=2, w_max=64, rho=2.0, sides="one")),
-    ])
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 1500), cfg=_scale_configs())
+    @example(n=2000, cfg=ScanConfig())
+    @example(n=37, cfg=ScanConfig())
+    @example(n=1000, cfg=ScanConfig(w_min=3, w_max=90, rho=1.7))
+    @example(n=501, cfg=ScanConfig(w_min=7, w_max=7))
+    @example(n=64, cfg=ScanConfig(w_min=2, w_max=64, rho=2.0, sides="one"))
     def test_counter_counts_each_placement_once(self, n, cfg):
+        assume(n >= cfg.w_min)
         profile = Profile(np.random.default_rng(n).normal(size=n))
         counter = OpCounter()
         scan(profile, build_prefix_sums(profile), NoiseModel(1.0), cfg, counter=counter)
