@@ -418,21 +418,30 @@ class TestPredictedOpCounts:
         _, c_star = predicted_op_counts(2000, cfg)
         assert counter.count <= 3 * c_star
 
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 1500), cfg=_scale_configs())
-    @example(n=2000, cfg=ScanConfig())
-    @example(n=37, cfg=ScanConfig())
-    @example(n=1000, cfg=ScanConfig(w_min=3, w_max=90, rho=1.7))
-    @example(n=501, cfg=ScanConfig(w_min=7, w_max=7))
-    @example(n=64, cfg=ScanConfig(w_min=2, w_max=64, rho=2.0, sides="one"))
-    def test_counter_counts_each_placement_once(self, n, cfg):
-        assume(n >= cfg.w_min)
+    @staticmethod
+    def _assert_counts_each_placement_once(n, cfg):
         profile = Profile(np.random.default_rng(n).normal(size=n))
         counter = OpCounter()
         scan(profile, build_prefix_sums(profile), NoiseModel(1.0), cfg, counter=counter)
         placements = sum(len(set(range(0, n - w + 1, math.ceil(w / 5))) | {n - w})
                          for w in window_lengths(cfg.clamped(n)))
         assert counter.count == placements
+
+    @pytest.mark.parametrize("n, cfg", [
+        (2000, ScanConfig()),
+        (37, ScanConfig()),
+        (1000, ScanConfig(w_min=3, w_max=90, rho=1.7)),
+        (501, ScanConfig(w_min=7, w_max=7)),
+        (64, ScanConfig(w_min=2, w_max=64, rho=2.0, sides="one")),
+    ])
+    def test_counter_counts_each_placement_once(self, n, cfg):
+        self._assert_counts_each_placement_once(n, cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 1500), cfg=_scale_configs())
+    def test_counter_counts_each_placement_once_property(self, n, cfg):
+        assume(n >= cfg.w_min)
+        self._assert_counts_each_placement_once(n, cfg)
 
     def test_exhaustive_counter_counts_every_placement(self):
         profile = Profile(np.random.default_rng(2).normal(size=90))
