@@ -16,9 +16,11 @@ rejected with the offending line number, never imputed or reordered.
 Each rule is stated once: ``Profile`` owns the value and position rules
 (finite values, integral and strictly increasing positions), and
 ``_COLUMNS`` owns the tsv and bedGraph layout (column indexes and the
-message for a short row). The bulk parser defers to the line parser
-wherever ``Profile`` rejects its columns, and the line parser names the
-offending line.
+message for a short row). The bulk parser reads plain text with numpy's
+separator reader (``np.fromstring``) and tsv and bedGraph text with
+``np.loadtxt``; it defers to the line parser wherever the bulk reader could
+differ from it or ``Profile`` rejects its columns, and the line parser names
+the offending line.
 
 The segment table is written with 6 significant digits for the float columns
 (mean, z, p_value); the ``bed`` variant is the same rows without the header.
@@ -141,10 +143,12 @@ def parse_profile(source, format: str = "plain") -> Profile:
     """Parse a text profile in ``plain``, ``tsv``, or ``bedgraph`` format.
 
     The file is parsed in one bulk pass. Input the bulk pass does not cover
-    exactly (non-ASCII tsv or bedGraph text, a skipped line past the leading
-    header, a row with missing fields, a bad or non-finite number, a bedGraph
-    end not above its start, mixed labels, positions that do not increase, no
-    data) goes to the line-by-line parser, which reports the offending line.
+    exactly (non-ASCII tsv or bedGraph text, non-ASCII text or a skipped
+    line past the leading header, a row with missing fields, a bad or
+    non-finite number, a bedGraph end not above its start, mixed labels,
+    positions that do not increase, no data; in plain text also a space, a
+    tab or a line break other than LF or CRLF) goes to the line-by-line
+    parser, which reports the offending line.
     """
     if format != "plain" and format not in _COLUMNS:
         raise ValidationError(f"unknown profile format {format!r}")
@@ -156,43 +160,83 @@ def parse_profile(source, format: str = "plain") -> Profile:
 def _parse_bulk(text: str, format: str) -> Profile | None:
     """Return the Profile ``_parse_lines`` would return, or None to defer to it.
 
-    Non-ASCII tsv and bedGraph text defers; columns past the value are ignored.
+    Non-ASCII tsv and bedGraph text and a non-ASCII plain body defer;
+    columns past the value are ignored.
     """
-    lines = text.splitlines()
-    first = 0
-    while first < len(lines) and _skip(lines[first]):
-        first += 1
-    if first == len(lines):
+    start = _body_start(text)
+    if start is None:
         return None
-    body = lines[first:] if first else lines
+    body = text[start:] if start else text
     if format == "plain":
-        # float() strips the whitespace line.strip() does and rejects every
-        # line _skip would skip, so this either matches the loop or raises;
-        # Profile rejects non-finite values
-        try:
-            return Profile(np.fromiter(map(float, body), np.float64, len(body)))
-        except (ValueError, ValidationError):
-            return None
+        return _parse_plain(body)
     # numpy's int parser reads non-ASCII text int() rejects ("5\u01fe" as 512),
     # and it strips "\x1f" as whitespace where int() and float() reject it
-    if not text.isascii() or "\x1f" in text:
+    if not text.isascii() or "\x1f" in body:
         return None
+    lines = body.splitlines()
     # A skipped line inside the body never gets through: it has a label
     # other than the first row's, or a position the reader rejects.
-    label = body[0].partition("\t")[0]
-    if not all(map(str.startswith, body, repeat(label + "\t"))):
+    label = lines[0].partition("\t")[0]
+    if not all(map(str.startswith, lines, repeat(label + "\t"))):
         return None
     columns = _COLUMNS[format][0]
     dtype = [(name, "f8" if name == "value" else "i8") for name in columns]
     # Profile rejects non-finite values and positions that do not increase;
     # it never sees a bedGraph end
     try:
-        rows = np.loadtxt(body, dtype=dtype, delimiter="\t", comments=None, quotechar=None,
+        rows = np.loadtxt(lines, dtype=dtype, delimiter="\t", comments=None, quotechar=None,
                           usecols=tuple(columns.values()), ndmin=1)
         if "end" in columns and not (rows["end"] > rows["position"]).all():
             return None
         return Profile(rows["value"], positions=rows["position"], label=label)
     except (ValueError, ValidationError):
+        return None
+
+
+def _body_start(text: str) -> int | None:
+    """The offset of the first line past the leading skipped lines, or None.
+
+    The walk goes one "\n"-ended line at a time and never splits the file.
+    None when no data line follows, or when a skipped line holds another line
+    break ("# h\r1.5"), which would hide a line from the walk.
+    """
+    start = 0
+    while True:
+        end = text.find("\n", start)
+        line = text[start:] if end < 0 else text[start:end]
+        if not _skip(line):
+            return start
+        line = line.removesuffix("\r")
+        if end < 0 or (line and line.splitlines() != [line]):
+            return None
+        start = end + 1
+
+
+def _parse_plain(body: str) -> Profile | None:
+    """The plain branch of ``_parse_bulk``: numpy's separator reader."""
+    # sep="\n" matches any run of C whitespace. In ASCII text without a
+    # space, tab, VT, FF or lone CR, numpy splits only where the line loop
+    # does, so each "\n"-ended line gives at most one value, and numpy reads
+    # the loop's tokens, each to float()'s double or to an error (or to the
+    # nan of "nan(123)", which Profile rejects). A non-ASCII header was read
+    # by _skip alone, as in the line loop.
+    if (not body.isascii() or any(map(body.__contains__, " \t\x0b\x0c"))
+            or ("\r" in body and body.count("\r") != body.count("\r\n"))):
+        return None
+    line_count = body.count("\n") + (not body.endswith("\n"))
+    last_line = body[body.rfind("\n", 0, len(body) - 1) + 1:]
+    try:
+        # Older numpy warns about unmatched text and returns the values before
+        # it, where numpy 2.4 raises ValueError. A read that stops before the
+        # last value comes up short of one value per line (blank lines do
+        # too), and text after the last value fails float() of the last line.
+        values = np.fromstring(body, sep="\n")
+        if values.size != line_count or values[-1] != float(last_line):
+            return None
+        # read-only, so Profile keeps the array instead of copying it
+        values.flags.writeable = False
+        return Profile(values)
+    except (ValueError, DeprecationWarning, ValidationError):
         return None
 
 

@@ -1,6 +1,7 @@
 import codecs
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -273,6 +274,28 @@ class TestBulkParse:
     @example(case=("c\t0\t50\t\x1f0.5\n", "bedgraph"))
     @example(case=("c\t\x1f7\t0.5\n", "tsv"))
     @example(case=("0.5\x1f\n1.5\n", "plain"))
+    # numpy's separator reader takes any whitespace run for "\n" and reads
+    # "nan(123)", which float() rejects
+    @example(case=("1\n \n2 3\n", "plain"))
+    @example(case=("1 2\n", "plain"))
+    @example(case=("1 2\n\n3\n", "plain"))
+    @example(case=("1\t2\n\n3\n", "plain"))
+    @example(case=("nan(123)\n", "plain"))
+    @example(case=("infinity\n", "plain"))
+    @example(case=(".5\n5.\n", "plain"))
+    @example(case=("1e\n", "plain"))
+    # line ends: CRLF, a lone CR beside a blank line, a CR inside a header
+    # line, no final newline
+    @example(case=("1\r\n2\r\n", "plain"))
+    @example(case=("1\r2\n\n3\n", "plain"))
+    @example(case=("# h\r1.5\n2\n", "plain"))
+    @example(case=("1\n2", "plain"))
+    # non-ASCII text: in a header line the bulk pass reads past it, in the
+    # body it defers (int() and float() read the Arabic-Indic digit as 1)
+    @example(case=("# temp\u00e9rature\n0.5\n1.5\n", "plain"))
+    @example(case=("track name=\u00e9\nc\t1\t0.5\n", "tsv"))
+    @example(case=("0.5\n\u0661.5\n", "plain"))
+    @example(case=("0.5\n1\u20282\n", "plain"))
     def test_matches_line_loop(self, case):
         text, fmt = case
         assert _outcome(parse_profile, text, fmt) == _outcome(_parse_lines, text, fmt)
@@ -296,6 +319,47 @@ class TestBulkParse:
         text = "track type=bedGraph\n" + "\n".join(rows) + "\n"
         assert (_outcome(parse_profile, text, "bedgraph")
                 == _outcome(_parse_lines, text, "bedgraph"))
+
+    @pytest.mark.parametrize("row", [0, 50_000, 99_999])
+    @pytest.mark.parametrize("line", ["NA", "1 2", "", "nan(123)", "\x0c"])
+    def test_late_plain_defect_matches_line_loop(self, row, line):
+        rows = [repr(i / 7) for i in range(100_000)]
+        rows[row] = line
+        text = "\n".join(rows) + "\n"
+        assert _outcome(parse_profile, text, "plain") == _outcome(_parse_lines, text, "plain")
+
+    @pytest.mark.parametrize("header", ["track type=x", "# values", "# temp\u00e9rature"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    def test_clean_plain_text_takes_the_bulk_pass(self, monkeypatch, header, newline):
+        text = newline.join([header, "0.5", "-2.25", "1e-3"])
+        expected = _parse_lines(text, "plain")
+        monkeypatch.setattr(profiles, "_parse_lines", _no_line_loop)
+        assert parse_profile(text).values.tobytes() == expected.values.tobytes()
+
+    # older numpy warns about unmatched text and returns the values before
+    # it, where numpy 2.4 raises: under an error filter the warning defers,
+    # and without one a short read or text after the last value defers. A
+    # lone CR or a FF reads two values from one line, which would make up
+    # for the line the read stopped in.
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("text, read", [
+        ("1\n2\n3\n", [1.0, 2.0]),
+        ("1\n2\nx\n", [1.0, 2.0]),
+        ("1\n2\n3x\n", [1.0, 2.0, 3.0]),
+        ("1\n2\n3\x1c4", [1.0, 2.0, 3.0]),
+        ("1\r2\n3x\n3\n", [1.0, 2.0, 3.0]),
+        ("1\x0c2\n3x\n3\n", [1.0, 2.0, 3.0]),
+    ])
+    def test_partial_read_defers(self, monkeypatch, text, read, action):
+        def fromstring(string, sep):
+            warnings.warn("string or file could not be read to its end due to "
+                          "unmatched data", DeprecationWarning, stacklevel=2)
+            return np.array(read)
+        monkeypatch.setattr(profiles.np, "fromstring", fromstring)
+        expected = _outcome(_parse_lines, text, "plain")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, DeprecationWarning)
+            assert _outcome(parse_profile, text, "plain") == expected
 
     @pytest.mark.parametrize("fmt, text", [
         ("tsv", "c\t10\t0.5\tname\nc\t20\t0.25\n"),
