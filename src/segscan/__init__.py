@@ -6,11 +6,10 @@ boundaries, merges adjacent segments, and calls significance with
 Benjamini-Hochberg FDR control.
 """
 
+import importlib
+
 from .errors import (DegenerateScaleError, ProfileParseError, SegscanError,
                      ValidationError)
-from .evaluation import (EvalReport, brute_force_segment,
-                         enumerate_candidates_dense, greedy_disjoint,
-                         positions_mask, score)
 from .pipeline import segment_profile
 from .profiles import (Profile, SegmentRecord, parse_profile, read_profile,
                        read_segments, write_segments)
@@ -19,8 +18,6 @@ from .scanning import (Candidate, CandidateTable, ScanConfig,
                        predicted_op_counts, scan, window_lengths)
 from .selection import select_nonoverlapping
 from .significance import SegmentationResult, bh_select_log, finalize
-from .simulation import (PlantedSegment, SimSpec, benchmark_suite,
-                         read_truth_manifest, simulate, write_truth_manifest)
 from .stats import (NoiseModel, OpCounter, PrefixSums, build_prefix_sums,
                     estimate_sigma_mad, log_p_value, segment_stats,
                     z_statistic)
@@ -42,3 +39,27 @@ __all__ = [
     "select_nonoverlapping", "simulate", "window_lengths", "write_segments",
     "write_truth_manifest", "z_statistic",
 ]
+
+# The oracles and the simulator are imported on first use, so that
+# segmenting a file never loads them (PEP 562).
+_LAZY = {
+    "evaluation": ("EvalReport", "brute_force_segment", "enumerate_candidates_dense",
+                   "greedy_disjoint", "positions_mask", "score"),
+    "simulation": ("PlantedSegment", "SimSpec", "benchmark_suite", "read_truth_manifest",
+                   "simulate", "write_truth_manifest"),
+}
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name == module:
+            return importlib.import_module(f".{module}", __name__)
+        if name in names:
+            value = getattr(importlib.import_module(f".{module}", __name__), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

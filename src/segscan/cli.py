@@ -10,7 +10,6 @@ import argparse
 import concurrent.futures
 import logging
 import os
-import statistics
 import sys
 import tempfile
 import time
@@ -21,12 +20,9 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .errors import SegscanError
-from .evaluation import positions_mask, score
 from .pipeline import segment_profile
 from .profiles import read_profile, read_segments, write_segments
 from .scanning import ScanConfig
-from .simulation import (benchmark_suite, read_truth_manifest,
-                         write_profile_plain, write_truth_manifest)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -214,6 +210,8 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .simulation import benchmark_suite, write_profile_plain, write_truth_manifest
+
     out_dir = Path(args.outdir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suite = benchmark_suite(args.kind, snr=args.snr, seed=args.seed)
@@ -228,6 +226,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    import statistics
+
+    from .evaluation import positions_mask, score
+    from .simulation import read_truth_manifest
+
     with _naming(args.truth):
         truth, manifest_length = read_truth_manifest(Path(args.truth).read_bytes())
     length = args.length if args.length is not None else manifest_length
@@ -260,6 +263,10 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    import statistics
+
+    from .simulation import read_truth_manifest
+
     suite_dir = Path(args.suite)
     truth_path = suite_dir / "truth.tsv"
     with _naming(truth_path):
@@ -269,14 +276,17 @@ def _cmd_bench(args) -> int:
     for profile_id in sorted(truth):
         path = suite_dir / f"{profile_id}.txt"
         with _naming(path):
-            t0 = time.perf_counter()
-            profile = read_profile(path, format="plain")
-            parse_seconds = time.perf_counter() - t0
+            parse_times = []
+            for _ in range(args.repetitions):
+                t0 = time.perf_counter()
+                profile = read_profile(path, format="plain")
+                parse_times.append(time.perf_counter() - t0)
             times = []
             for _ in range(args.repetitions):
                 t0 = time.perf_counter()
                 segment_profile(profile)
                 times.append(time.perf_counter() - t0)
+        parse_seconds = statistics.median(parse_times)
         seconds = statistics.median(times)
         total += seconds
         rows.append(f"{profile_id}\t{len(profile)}\t{parse_seconds:.6f}\t{seconds:.6f}")

@@ -16,11 +16,15 @@ rejected with the offending line number, never imputed or reordered.
 Each rule is stated once: ``Profile`` owns the value and position rules
 (finite values, integral and strictly increasing positions), and
 ``_COLUMNS`` owns the tsv and bedGraph layout (column indexes and the
-message for a short row). The bulk parser reads plain text with numpy's
-separator reader (``np.fromstring``) and tsv and bedGraph text with
-``np.loadtxt``; it defers to the line parser wherever the bulk reader could
-differ from it or ``Profile`` rejects its columns, and the line parser names
-the offending line.
+message for a short row). The bulk parser works on the file's bytes. It
+reads plain text in chunks that end at a line end: each decimal line as an
+int64 mantissa (numpy's separator reader, ``np.fromstring``, on the text
+without its points) scaled once by a power of ten in x87 long double,
+which gives ``float()``'s double bit for bit, and the few lines that scaling
+cannot promise, such as "1e-05", with ``float()`` itself. tsv and bedGraph
+text goes through ``np.loadtxt``. The bulk parser defers to the line parser
+wherever its reader could differ from it or ``Profile`` rejects its columns,
+and the line parser names the offending line.
 
 The segment table is written with 6 significant digits for the float columns
 (mean, z, p_value); the ``bed`` variant is the same rows without the header.
@@ -30,7 +34,10 @@ positions, output coordinates are positions[start] .. positions[end-1] + 1.
 
 from __future__ import annotations
 
+import codecs
 import math
+import re
+import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -142,38 +149,43 @@ _COLUMNS = {"tsv": ({"position": 1, "value": 2},
 def parse_profile(source, format: str = "plain") -> Profile:
     """Parse a text profile in ``plain``, ``tsv``, or ``bedgraph`` format.
 
-    The file is parsed in one bulk pass. Input the bulk pass does not cover
-    exactly (non-ASCII tsv or bedGraph text, non-ASCII text or a skipped
-    line past the leading header, a row with missing fields, a bad or
-    non-finite number, a bedGraph end not above its start, mixed labels,
-    positions that do not increase, no data; in plain text also a space, a
-    tab or a line break other than LF or CRLF) goes to the line-by-line
-    parser, which reports the offending line.
+    The file is parsed in one bulk pass over its bytes. Input the bulk pass
+    does not cover exactly goes to the line-by-line parser, which reports
+    the offending line: non-ASCII text past the leading header (or anywhere
+    in tsv and bedGraph), a skipped or blank line past the header, a row
+    with missing fields, a bad or non-finite number, a bedGraph end not
+    above its start, mixed labels, positions that do not increase, no data.
+    In plain text the bulk pass reads with ``float()`` the few lines it
+    cannot read exactly as integers ("1e-05", "+1"), so they stay on it.
     """
     if format != "plain" and format not in _COLUMNS:
         raise ValidationError(f"unknown profile format {format!r}")
-    text = _decode(source)
-    profile = _parse_bulk(text, format)
-    return profile if profile is not None else _parse_lines(text, format)
+    profile = None
+    if isinstance(source, (bytes, str)):
+        # a lone surrogate in a str survives the encoding and fails the
+        # bulk pass's UTF-8 and ASCII checks, which leaves it to the line loop
+        data = source if isinstance(source, bytes) else source.encode("utf-8", "surrogatepass")
+        profile = _parse_bulk(data.removeprefix(codecs.BOM_UTF8), format)
+    return profile if profile is not None else _parse_lines(_decode(source), format)
 
 
-def _parse_bulk(text: str, format: str) -> Profile | None:
+def _parse_bulk(data: bytes, format: str) -> Profile | None:
     """Return the Profile ``_parse_lines`` would return, or None to defer to it.
 
     Non-ASCII tsv and bedGraph text and a non-ASCII plain body defer;
     columns past the value are ignored.
     """
-    start = _body_start(text)
+    start = _body_start(data)
     if start is None:
         return None
-    body = text[start:] if start else text
     if format == "plain":
-        return _parse_plain(body)
+        return _parse_plain(data, start)
+    body = data[start:]
     # numpy's int parser reads non-ASCII text int() rejects ("5\u01fe" as 512),
     # and it strips "\x1f" as whitespace where int() and float() reject it
-    if not text.isascii() or "\x1f" in body:
+    if not data.isascii() or b"\x1f" in body:
         return None
-    lines = body.splitlines()
+    lines = body.decode().splitlines()
     # A skipped line inside the body never gets through: it has a label
     # other than the first row's, or a position the reader rejects.
     label = lines[0].partition("\t")[0]
@@ -193,54 +205,177 @@ def _parse_bulk(text: str, format: str) -> Profile | None:
         return None
 
 
-def _body_start(text: str) -> int | None:
+# A line ends at LF, CRLF or a lone CR, as in str.splitlines; the other
+# breaks splitlines knows (VT, FF, "\x1c"-"\x1e", non-ASCII) are left to
+# float() and the checks below.
+_LINE_END = re.compile(rb"\r\n?|\n")
+
+
+def _body_start(data: bytes) -> int | None:
     """The offset of the first line past the leading skipped lines, or None.
 
-    The walk goes one "\n"-ended line at a time and never splits the file.
-    None when no data line follows, or when a skipped line holds another line
-    break ("# h\r1.5"), which would hide a line from the walk.
+    The walk goes one line at a time and never splits the file. None when no
+    data line follows, when a skipped line is not UTF-8, or when it holds
+    another line break ("# h\x0c1.5"), which would hide a line from the walk.
     """
     start = 0
     while True:
-        end = text.find("\n", start)
-        line = text[start:] if end < 0 else text[start:end]
+        match = _LINE_END.search(data, start)
+        try:
+            line = data[start:match.start() if match else len(data)].decode()
+        except UnicodeDecodeError:
+            return None
         if not _skip(line):
             return start
-        line = line.removesuffix("\r")
-        if end < 0 or (line and line.splitlines() != [line]):
+        if match is None or (line and line.splitlines() != [line]):
             return None
-        start = end + 1
+        start = match.end()
 
 
-def _parse_plain(body: str) -> Profile | None:
-    """The plain branch of ``_parse_bulk``: numpy's separator reader."""
-    # sep="\n" matches any run of C whitespace. In ASCII text without a
-    # space, tab, VT, FF or lone CR, numpy splits only where the line loop
-    # does, so each "\n"-ended line gives at most one value, and numpy reads
-    # the loop's tokens, each to float()'s double or to an error (or to the
-    # nan of "nan(123)", which Profile rejects). A non-ASCII header was read
-    # by _skip alone, as in the line loop.
-    if (not body.isascii() or any(map(body.__contains__, " \t\x0b\x0c"))
-            or ("\r" in body and body.count("\r") != body.count("\r\n"))):
-        return None
-    line_count = body.count("\n") + (not body.endswith("\n"))
-    last_line = body[body.rfind("\n", 0, len(body) - 1) + 1:]
-    try:
-        # Older numpy warns about unmatched text and returns the values before
-        # it, where numpy 2.4 raises ValueError. A read that stops before the
-        # last value comes up short of one value per line (blank lines do
-        # too), and text after the last value fails float() of the last line.
-        values = np.fromstring(body, sep="\n")
-        if values.size != line_count or values[-1] != float(last_line):
-            return None
-        # read-only, so Profile keeps the array instead of copying it
-        values.flags.writeable = False
-        return Profile(values)
-    except (ValueError, DeprecationWarning, ValidationError):
-        return None
-
-
+# Where np.longdouble is x87's 80-bit format (a 64-bit significand, low
+# word first), plain decimals are read as integers and scaled once; else
+# each chunk goes through numpy's float separator reader.
+_X87 = np.finfo(np.longdouble).nmant == 63 and sys.byteorder == "little"
+# 10**k is exact in a 64-bit significand up to k = 27 (5**27 < 2**63)
+_MAX_SCALE = 27
+_POW10 = np.ldexp(np.array([5 ** k for k in range(_MAX_SCALE + 1)]).astype(np.longdouble),
+                  np.arange(_MAX_SCALE + 1))
+_CHUNK = 1 << 17
 _INT64 = np.iinfo(np.int64)
+
+
+def _parse_plain(data: bytes, start: int) -> Profile | None:
+    """The plain branch of ``_parse_bulk``: ``data[start:]`` in line-end chunks.
+
+    Each chunk of about ``_CHUNK`` bytes ends at a line end, so a CRLF is
+    never split and only one chunk's working arrays are alive at a time.
+    """
+    parts = []
+    while start < len(data):
+        match = _LINE_END.search(data, start + _CHUNK)
+        stop = match.end() if match else len(data)
+        # numpy 2.4 raises ValueError on unmatched text, where older numpy
+        # warns and returns the values before it; float() raises ValueError
+        try:
+            values = _read_chunk(data[start:stop])
+        except (ValueError, DeprecationWarning):
+            return None
+        if values is None:
+            return None
+        parts.append(values)
+        start = stop
+    values = np.concatenate(parts)
+    # read-only, so Profile keeps the array instead of copying it
+    values.flags.writeable = False
+    try:
+        return Profile(values)
+    except ValidationError:
+        return None
+
+
+def _read_chunk(chunk: bytes) -> np.ndarray | None:
+    """The value of each line of ``chunk``, or None to defer the body.
+
+    On x87 the chunk is read by ``_decimal_values``, unless more than one
+    line in eight holds a byte outside ``[0-9.\\-]`` ("1e-05", " 1.5",
+    "nan"): such a chunk is cheaper through numpy's float separator reader.
+    That reader splits at any run of C whitespace, so it reads only chunks
+    without a space, tab, VT or FF, where it splits only at line ends and
+    reads each line to ``float()``'s double or to an error (or to the nan
+    of "nan(123)", which Profile rejects). Either way a read that stops
+    early comes up short of one value per line (blank lines do too), and
+    text after the last value fails ``float()`` of the last line.
+    """
+    if not chunk.isascii():
+        return None
+    text = chunk if chunk.endswith((b"\n", b"\r")) else chunk + b"\n"
+    buf = np.frombuffer(text, np.uint8)
+    ends = _line_ends(buf, b"\r" in text)
+    # line i is text[starts[i]:stops[i]], without the CR of a CRLF
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    stops = ends - (buf[ends - 1] == 13)
+    other = np.zeros(ends.size, bool)
+    other[np.searchsorted(ends, np.flatnonzero(
+        (buf - np.uint8(45) > 12) & (buf != 10) & (buf != 13) | (buf == 47)))] = True
+    if _X87 and 8 * np.count_nonzero(other) <= ends.size:
+        values = _decimal_values(text, starts, stops, ends, other)
+    elif any(map(text.__contains__, (b" ", b"\t", b"\x0b", b"\x0c"))):
+        return None
+    else:
+        values = np.fromstring(text, sep="\n")
+    if values is None or values.size != ends.size:
+        return None
+    if values[-1] != float(text[starts[-1]:stops[-1]].decode()):
+        return None
+    return values
+
+
+def _line_ends(buf: np.ndarray, has_cr: bool) -> np.ndarray:
+    """The offset of each LF and of each CR not followed by LF in ``buf``.
+
+    A function of its own, so its chunk-sized masks are freed on return.
+    """
+    breaks = buf == 10
+    if has_cr:
+        lone = buf == 13
+        lone[:-1] &= ~breaks[1:]
+        breaks |= lone
+    return np.flatnonzero(breaks)
+
+
+def _decimal_values(text: bytes, starts: np.ndarray, stops: np.ndarray, ends: np.ndarray,
+                    other: np.ndarray) -> np.ndarray | None:
+    """Read each line as an integer mantissa m and a count k of decimals.
+
+    Each value is m / 10**k, divided in x87 long double and rounded once to
+    a double. m is exact (|m| < 2**63) and so is 10**k for k <= 27, so the
+    quotient is m / 10**k rounded once to 64 significand bits. Rounding
+    that to 53 bits gives float()'s correctly rounded double unless it lies
+    exactly halfway between two doubles (its low 11 bits read 0x400): a
+    double-rounding error needs the 64-bit rounding to land on that
+    midpoint. Those lines go to float(), with every line whose mantissa
+    overflowed (numpy clamps it to an int64 extreme), with k > 27, or with
+    a byte outside ``[0-9.\\-]`` (``other``, blanked to zeros for the
+    integer read).
+
+    The integer read gives at most one value per line: numpy starts a new
+    value only after at least one whitespace byte, so a sign inside a line
+    ("5-", "1-5") stops the read, and a line without digits ("-", ".")
+    gives none. A line with two points defers the body.
+    """
+    digits = text
+    if other.any():
+        work = bytearray(text)
+        for start, stop in zip(starts[other].tolist(), stops[other].tolist()):
+            work[start:stop] = b"0" * (stop - start)
+        digits = bytes(work)
+    buf = np.frombuffer(digits, np.uint8)
+    points = np.flatnonzero(buf == 46)
+    lines = ends.size
+    if points.size == lines and (points < stops).all() and (points[1:] > ends[:-1]).all():
+        scale = stops - points - 1  # one point on every line
+    else:
+        point_lines = np.searchsorted(ends, points)
+        # "1.2.3" would read as 123
+        if (point_lines[1:] == point_lines[:-1]).any():
+            return None
+        scale = np.zeros(lines, np.intp)
+        scale[point_lines] = stops[point_lines] - points - 1
+    mantissas = np.fromstring(digits.replace(b".", b""), dtype=np.int64, sep="\n")
+    if mantissas.size != lines:
+        return None
+    quotients = mantissas.astype(np.longdouble)
+    quotients /= _POW10[np.minimum(scale, _MAX_SCALE)]
+    low_bits = quotients.view(np.uint32)[::quotients.itemsize // 4] & 0x7FF
+    redo = (other | (low_bits == 0x400) | (scale > _MAX_SCALE)
+            | (mantissas == _INT64.max) | (mantissas == _INT64.min))
+    values = quotients.astype(np.float64)
+    # the integer read drops the sign of "-0.0"
+    zeros = np.flatnonzero(mantissas == 0)
+    values[zeros[buf[starts[zeros]] == 45]] = -0.0
+    for i in np.flatnonzero(redo).tolist():
+        values[i] = float(text[starts[i]:stops[i]].decode())
+    return values
 
 
 def _parse_int(token: str, name: str, lineno: int) -> int:

@@ -402,6 +402,17 @@ class TestEvaluateAndBench:
         # columns are printed with 6 decimals, so allow rounding slop
         assert total == pytest.approx(sum(per_profile), abs=1e-4)
 
+    def test_bench_parses_each_profile_once_per_repetition(self, suite_dir, tmp_path,
+                                                           monkeypatch):
+        # parse_seconds is a median over the repetitions, like segment_seconds
+        parsed = []
+        read_profile = cli.read_profile
+        monkeypatch.setattr(cli, "read_profile",
+                            lambda path, format: parsed.append(path) or read_profile(path, format))
+        assert main(["bench", "--suite", str(suite_dir), "--repetitions", "3",
+                     "--output", str(tmp_path / "times.tsv")]) == 0
+        assert len(parsed) == 3 * len(set(parsed)) == 30
+
     @pytest.mark.parametrize("text, message", [
         ("0.5\nNA\n0.25\n", "line 2: malformed numeric field 'NA'"),
         ("0.5\n" * 20, "MAD is zero"),
@@ -423,14 +434,33 @@ class TestEvaluateAndBench:
         assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("package", ["scipy", "concurrent.futures.process"])
+@pytest.mark.parametrize("package", ["scipy", "concurrent.futures.process",
+                                     "segscan.evaluation", "segscan.simulation", "statistics"])
 def test_cli_import_does_not_load(package):
     # scipy.special once took most of every CLI process's start-up, and the
     # process pool machinery (~15 ms) serves only --jobs with several inputs;
-    # importing the CLI may bring in neither
+    # the oracles, the simulator and statistics serve only the other
+    # subcommands. Importing the CLI may bring in none of them
     code = ("import sys, segscan.cli; "
             f"print([m for m in sys.modules if (m + '.').startswith({package + '.'!r})])")
     env = dict(os.environ, PYTHONPATH=str(Path(segscan.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def test_package_resolves_the_oracle_and_simulator_names_on_first_use():
+    code = ("import sys, segscan; "
+            "assert 'segscan.evaluation' not in sys.modules; "
+            "assert 'segscan.simulation' not in sys.modules; "
+            "from segscan import score, simulate; "
+            "import segscan.evaluation, segscan.simulation; "
+            "assert score is segscan.evaluation.score; "
+            "assert simulate is segscan.simulation.simulate; "
+            "assert set(segscan.__all__) <= set(dir(segscan)); "
+            "assert all(getattr(segscan, name) is not None for name in segscan.__all__); "
+            "print(hasattr(segscan, 'no_such_name'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(segscan.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "False"

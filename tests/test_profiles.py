@@ -1,4 +1,5 @@
 import codecs
+import decimal
 import io
 import math
 import warnings
@@ -256,6 +257,46 @@ def _no_line_loop(text, fmt):
     raise AssertionError("the bulk pass deferred to the line loop")
 
 
+@st.composite
+def _near_midpoint(draw):
+    # the exact decimal halfway between two adjacent doubles, cut short or
+    # lengthened: the inputs where rounding twice could go wrong
+    value = draw(st.floats(min_value=1e-6, max_value=1e6))
+    with decimal.localcontext(prec=200):
+        text = format((decimal.Decimal(value) + decimal.Decimal(math.nextafter(value, 2e6))) / 2,
+                      "f")
+    text = text[:draw(st.integers(min(3, len(text)), len(text)))]
+    return text + draw(st.sampled_from(["", "0", "1", "9"]))
+
+
+@st.composite
+def _decimal_line(draw):
+    digits = draw(st.text("0123456789", min_size=1, max_size=22))
+    point = draw(st.integers(0, len(digits)))
+    line = draw(st.one_of(
+        st.just(digits[:point] + "." + digits[point:]),
+        st.just(digits),
+        _near_midpoint(),
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map("{:.17e}".format),
+        st.sampled_from(["nan", "inf", "", ".", "-", "--1", "1-5", "5-", "1.2.3", "0x10",
+                         "1,5", "# c", "1e400", " 2.5", "2.5\t"])))
+    sign = draw(st.sampled_from(["", "", "-", "+"]))
+    zeros = draw(st.sampled_from(["", "", "0", "000"]))
+    line = sign + zeros + line
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(["_", "\x1c", "e", "e-5"])) + line[at:]
+    return line
+
+
+@st.composite
+def _decimal_texts(draw):
+    lines = draw(st.lists(_decimal_line(), min_size=1, max_size=12))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
 class TestBulkParse:
     # the bulk pass must return exactly what the line loop returns, or
     # defer to it, so every error keeps its message and line number
@@ -328,19 +369,76 @@ class TestBulkParse:
         text = "\n".join(rows) + "\n"
         assert _outcome(parse_profile, text, "plain") == _outcome(_parse_lines, text, "plain")
 
+    # each decimal line is read as an integer and scaled once, or read with
+    # float(); the float reader stands in where long double is not x87's
+    @settings(max_examples=150, deadline=None)
+    @pytest.mark.parametrize("reader", ["exact", "float"])
+    @given(text=_decimal_texts())
+    @example(text="-0.0\n.5\n5.\n-.5\n")
+    # a tie, the largest int64, the first value past it, a 20-digit mantissa
+    @example(text="9007199254740993\n9223372036854775807\n")
+    @example(text="9223372036854775808\n-9223372036854775809\n")
+    @example(text="1234567890.1234567890\n")
+    # 10**27 is the largest exact power of ten in a 64-bit significand
+    @example(text="0.000000000000000000000000001\n0.0000000000000000000000000001\n")
+    @example(text="1.2.3\n4.5\n")
+    @example(text="5-\n6\n7\n")
+    @example(text="1\n-\n2\n")
+    @example(text="1e-05\n-2.5\n")
+    # long double rounds these onto a midpoint between two doubles, and a
+    # second rounding would go to the wrong one
+    @example(text="7.43839337639475362\n0.7339112384472734063\n-6.385120517023365583\n")
+    def test_decimals_match_line_loop(self, reader, text):
+        with pytest.MonkeyPatch.context() as patch:
+            if reader == "float":
+                patch.setattr(profiles, "_X87", False)
+            expected = _outcome(_parse_lines, text, "plain")
+            assert _outcome(parse_profile, text, "plain") == expected
+            assert _outcome(parse_profile, text.encode(), "plain") == expected
+
+    # lines scaling cannot promise: rounded onto a midpoint between two
+    # doubles, an int64 overflow, 28 decimals, a lost sign, an exponent
+    @pytest.mark.parametrize("line", ["7.43839337639475362", "0.7339112384472734063",
+                                      "-6.385120517023365583", "-12345678901234567890",
+                                      "0.0000000000000000000000000001", "-0.0", "1e-05"])
+    def test_lines_float_must_read_take_the_bulk_pass(self, monkeypatch, line):
+        text = f"0.5\n{line}\n-2.25\n"
+        monkeypatch.setattr(profiles, "_parse_lines", _no_line_loop)
+        expected = np.array([0.5, float(line), -2.25])
+        assert parse_profile(text).values.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("header", ["track type=x", "# values", "# temp\u00e9rature"])
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["LF", "CRLF"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     def test_clean_plain_text_takes_the_bulk_pass(self, monkeypatch, header, newline):
         text = newline.join([header, "0.5", "-2.25", "1e-3"])
         expected = _parse_lines(text, "plain")
         monkeypatch.setattr(profiles, "_parse_lines", _no_line_loop)
         assert parse_profile(text).values.tobytes() == expected.values.tobytes()
 
+    # many chunks, a few lines float() must read (and in the %.17e style,
+    # so many that the chunk goes to the float reader)
+    @pytest.mark.parametrize("reader", ["exact", "float"])
+    @pytest.mark.parametrize("style", ["{!r}", "{:.17e}"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_long_clean_text_takes_the_bulk_pass(self, monkeypatch, reader, style, newline):
+        values = np.random.default_rng(3).standard_normal(20_000)
+        values[::997] *= 1e-6
+        lines = list(map(style.format, values.tolist()))
+        text = newline.join(lines).encode()
+        assert len(text) > 2 * profiles._CHUNK
+        monkeypatch.setattr(profiles, "_parse_lines", _no_line_loop)
+        if reader == "float":
+            monkeypatch.setattr(profiles, "_X87", False)
+        profile = parse_profile(text)
+        assert profile.values.tobytes() == np.array(list(map(float, lines))).tobytes()
+
     # older numpy warns about unmatched text and returns the values before
     # it, where numpy 2.4 raises: under an error filter the warning defers,
     # and without one a short read or text after the last value defers. A
-    # lone CR or a FF reads two values from one line, which would make up
-    # for the line the read stopped in.
+    # FF once read two values from one line, which would make up for the
+    # line the read stopped in; a lone CR is a line end of its own. The stub
+    # takes numpy's signature, so it stands in for the integer read and the
+    # float read alike.
     @pytest.mark.parametrize("action", ["error", "ignore"])
     @pytest.mark.parametrize("text, read", [
         ("1\n2\n3\n", [1.0, 2.0]),
@@ -351,10 +449,10 @@ class TestBulkParse:
         ("1\x0c2\n3x\n3\n", [1.0, 2.0, 3.0]),
     ])
     def test_partial_read_defers(self, monkeypatch, text, read, action):
-        def fromstring(string, sep):
+        def fromstring(string, dtype=float, count=-1, *, sep, like=None):
             warnings.warn("string or file could not be read to its end due to "
                           "unmatched data", DeprecationWarning, stacklevel=2)
-            return np.array(read)
+            return np.array(read, dtype=dtype)
         monkeypatch.setattr(profiles.np, "fromstring", fromstring)
         expected = _outcome(_parse_lines, text, "plain")
         with warnings.catch_warnings():
