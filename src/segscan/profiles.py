@@ -41,6 +41,7 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,10 +86,7 @@ class Profile:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class SegmentRecord:
-    """One reported segment: half-open index interval plus its statistics."""
-
+class _SegmentFields(NamedTuple):
     start: int
     end: int
     mean: float
@@ -96,9 +94,27 @@ class SegmentRecord:
     log_p: float
     significant: bool
 
-    def __post_init__(self):
-        if not (0 <= self.start < self.end):
-            raise ValidationError(f"invalid segment interval [{self.start}, {self.end})")
+
+class SegmentRecord(_SegmentFields):
+    """One reported segment: half-open index interval plus its statistics.
+
+    A named tuple, so building one costs about what a tuple does: it is
+    immutable, hashable and equal to any tuple of the same fields. Every
+    way of building one, ``_replace`` included, checks its interval.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start: int, end: int, mean: float, z: float, log_p: float,
+                significant: bool):
+        if not (0 <= start < end):
+            raise ValidationError(f"invalid segment interval [{start}, {end})")
+        return tuple.__new__(cls, (start, end, mean, z, log_p, significant))
+
+    @classmethod
+    def _make(cls, iterable) -> "SegmentRecord":
+        # the base's _make, which _replace calls, would skip the check
+        return cls(*iterable)
 
     @property
     def length(self) -> int:
@@ -241,6 +257,9 @@ _MAX_SCALE = 27
 _POW10 = np.ldexp(np.array([5 ** k for k in range(_MAX_SCALE + 1)]).astype(np.longdouble),
                   np.arange(_MAX_SCALE + 1))
 _CHUNK = 1 << 17
+# The head of a chunk whose "e" count can send it to the float reader; see
+# _read_chunk.
+_PROBE = 1 << 12
 _INT64 = np.iinfo(np.int64)
 
 
@@ -279,7 +298,10 @@ def _read_chunk(chunk: bytes) -> np.ndarray | None:
     On x87 the chunk is read by ``_decimal_values``, unless more than one
     line in eight holds a byte outside ``[0-9.\\-]`` ("1e-05", " 1.5",
     "nan"): such a chunk is cheaper through numpy's float separator reader.
-    That reader splits at any run of C whitespace, so it reads only chunks
+    A chunk whose first ``_PROBE`` bytes hold more than one "e" per eight
+    lines ("%.17e", np.savetxt's default) goes to that reader from those
+    byte counts alone, before the per-byte masks the decimal read needs.
+    The reader splits at any run of C whitespace, so it reads only chunks
     without a space, tab, VT or FF, where it splits only at line ends and
     reads each line to ``float()``'s double or to an error (or to the nan
     of "nan(123)", which Profile rejects). Either way a read that stops
@@ -289,23 +311,37 @@ def _read_chunk(chunk: bytes) -> np.ndarray | None:
     if not chunk.isascii():
         return None
     text = chunk if chunk.endswith((b"\n", b"\r")) else chunk + b"\n"
+    decimal = _X87 and (8 * text.count(b"e", 0, _PROBE)
+                        <= (text.count(b"\n", 0, _PROBE) or text.count(b"\r", 0, _PROBE)))
     buf = np.frombuffer(text, np.uint8)
-    ends = _line_ends(buf, b"\r" in text)
-    # line i is text[starts[i]:stops[i]], without the CR of a CRLF
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    stops = ends - (buf[ends - 1] == 13)
-    other = np.zeros(ends.size, bool)
-    other[np.searchsorted(ends, np.flatnonzero(
-        (buf - np.uint8(45) > 12) & (buf != 10) & (buf != 13) | (buf == 47)))] = True
-    if _X87 and 8 * np.count_nonzero(other) <= ends.size:
+    has_cr = b"\r" in text
+    if decimal or has_cr:
+        ends = _line_ends(buf, has_cr)
+        lines = ends.size
+    else:
+        lines = np.count_nonzero(buf == 10)
+    if decimal:
+        # line i is text[starts[i]:stops[i]], without the CR of a CRLF
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        stops = ends - (buf[ends - 1] == 13)
+        other = np.zeros(lines, bool)
+        other[np.searchsorted(ends, np.flatnonzero(
+            (buf - np.uint8(45) > 12) & (buf != 10) & (buf != 13) | (buf == 47)))] = True
+        decimal = 8 * np.count_nonzero(other) <= lines
+    if decimal:
         values = _decimal_values(text, starts, stops, ends, other)
     elif any(map(text.__contains__, (b" ", b"\t", b"\x0b", b"\x0c"))):
         return None
     else:
         values = np.fromstring(text, sep="\n")
-    if values is None or values.size != ends.size:
+    if values is None or values.size != lines:
         return None
-    if values[-1] != float(text[starts[-1]:stops[-1]].decode()):
+    # the last line, without its line end
+    stop = len(text) - (2 if text.endswith(b"\r\n") else 1)
+    first = text.rfind(b"\n", 0, stop) + 1
+    if has_cr:
+        first = max(first, text.rfind(b"\r", 0, stop) + 1)
+    if values[-1] != float(text[first:stop].decode()):
         return None
     return values
 
@@ -438,20 +474,19 @@ OUTPUT_COLUMNS = ("label", "start", "end", "mean", "z", "p_value", "significant"
 
 
 def _record_row(record: SegmentRecord, profile: Profile) -> str:
+    start, end, mean, z, _, significant = record
     if profile.positions is not None:
-        start = int(profile.positions[record.start])
-        end = int(profile.positions[record.end - 1]) + 1
-    else:
-        start, end = record.start, record.end
+        start = int(profile.positions[start])
+        end = int(profile.positions[end - 1]) + 1
     label = profile.label if profile.label is not None else "."
     return "\t".join((
         label,
         str(start),
         str(end),
-        format(record.mean, FLOAT_FORMAT),
-        format(record.z, FLOAT_FORMAT),
+        format(mean, FLOAT_FORMAT),
+        format(z, FLOAT_FORMAT),
         format(record.p_value, FLOAT_FORMAT),
-        "1" if record.significant else "0",
+        "1" if significant else "0",
     ))
 
 

@@ -25,7 +25,11 @@ log p is never computed. Only the boundaries at or above the floor get an
 exact log p, and that exact value alone decides. A gap of GAP_BATCH_MIN or
 more boundaries is scored in one pass over a prefix-sum slice with the
 batch z and log p kernels, which give the scalar kernels' values bit for
-bit; shorter gaps are scored one boundary at a time.
+bit; shorter gaps are scored one boundary at a time, from the gap's prefix
+sums as Python floats. A move scores its jumps and short gaps with the
+scalar operations of range_sum and z_statistic written out in the loop,
+in their order, so the values are theirs bit for bit without a function
+call per boundary.
 
 The segments are kept in one list sorted by start. They are disjoint and a
 refined segment stays between its neighbors, so the list never reorders,
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import cycle
+from itertools import count, cycle
 
 import numpy as np
 
@@ -101,19 +105,6 @@ def _floor(key):
     return key - 1e-9 * (1.0 + abs(key))
 
 
-def _beats(ctx: RefineContext, z: float, than: Candidate) -> float | None:
-    """The log p of ``z`` if it is strictly smaller than ``than``'s, else None.
-
-    The log p is computed only if z's key reaches the floor of ``than``'s.
-    """
-    sides = ctx.cfg.sides
-    key = _key(sides)
-    if key(z) < _floor(key(than.z)):
-        return None
-    log_p = log_p_value(z, sides)
-    return log_p if log_p < than.log_p else None
-
-
 #: Boundary moves in the order refine_segment applies them, each mapped to
 #: (moves the left edge, moves outward).
 MOVES = {
@@ -131,13 +122,15 @@ _FIRST_SIGN, _LAST_SIGN = np.array([
 
 
 #: Gaps of at least this many boundaries are scored in one batch, shorter
-#: ones one boundary at a time. The scalar loop costs ~0.2 us per boundary
-#: whose key lies below the floor and ~2 us per gap; a batch ~10 us per gap,
-#: plus ~20 us for the log p kernel once any boundary reaches the floor. They
-#: break even near 50-60 boundaries, and refine time on dense profiles is
-#: flat from 48 to 128. At the default w_max and K few gaps reach 64
-#: boundaries; at w_max 3000, scoring every gap one boundary at a time
-#: makes refine + merge ~35% slower.
+#: ones one boundary at a time. Timed in-process on a 2-vCPU x86-64 host,
+#: the scalar loop costs ~0.17 us per boundary whose key lies below the
+#: floor and ~1 us per gap; a batch ~7 us per gap, plus ~17 us for the log p
+#: kernel once any boundary reaches the floor. They break even near 35-60
+#: boundaries. On the dense-broad benchmark tracks at w_max 3000, where
+#: most gap boundaries sit in gaps of 64 or more, refine + merge is flat
+#: from 32 to 96 (11.8-12.1 ms) and takes 25 ms when every gap is scored
+#: one boundary at a time. At the default w_max and K few gaps reach 64
+#: boundaries.
 GAP_BATCH_MIN = 64
 
 
@@ -155,18 +148,23 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
     key = _key(sides)
     floor = _floor(key(cur.z))
     cum = ctx.ps.cumulative
-    # the gap's segments share the fixed edge ``anchor``; their sums and
-    # lengths, outermost (longest) first
-    if left:
-        anchor, sums, longest = cur.end, cum[cur.end] - cum[lo:hi], cur.end - lo
-    else:
-        anchor, sums, longest = cur.start, cum[lo:hi][::-1] - cum[cur.start], hi - 1 - cur.start
+    # the gap's segments share the fixed edge ``anchor``; the boundaries go
+    # outermost (longest segment) first
+    anchor = cur.end if left else cur.start
     if hi - lo < GAP_BATCH_MIN:
+        # the prefix sums at the boundaries as Python floats, each segment's
+        # sum one subtraction of two of them, as in range_sum
+        fixed, edges, sqrt = cum.item(anchor), cum[lo:hi].tolist(), math.sqrt
+        if left:
+            boundaries = zip(count(anchor - lo, -1), edges)
+        else:
+            boundaries = zip(count(hi - 1 - anchor, -1), reversed(edges))
         background, sigma = ctx.noise.background, ctx.noise.sigma
         best, log_p_best = None, cur.log_p
-        for n, total in zip(range(longest, longest - (hi - lo), -1), sums.tolist()):
+        for n, edge in boundaries:
+            total = fixed - edge if left else edge - fixed
             # z_statistic's operations, in its order
-            z = (total / n - background) * math.sqrt(n) / sigma
+            z = (total / n - background) * sqrt(n) / sigma
             if key(z) < floor:
                 continue
             log_p = log_p_value(z, sides)
@@ -177,6 +175,8 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
             return None
         n, z = best
     else:
+        sums = cum[anchor] - cum[lo:hi] if left else cum[lo:hi][::-1] - cum[anchor]
+        longest = anchor - lo if left else hi - 1 - anchor
         lengths = np.arange(longest, longest - (hi - lo), -1)
         z = z_statistic_batch(sums, lengths, ctx.noise)
         rows = np.flatnonzero(key(z) >= floor)
@@ -200,8 +200,8 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
     stop at ``lo`` (left edge) or ``hi`` (right edge): the end of the left
     neighbor or 0, and the start of the right neighbor or the profile
     length. Inward moves keep at least one point. The jump gets a log p
-    only if its key reaches the floor of the current segment's (_beats);
-    the skipped gap is searched by _search_gap.
+    only if its key reaches the floor of the current segment's; the
+    skipped gap is searched by _search_gap.
     """
     left, outward = MOVES[op]
     sign = -1 if left == outward else 1
@@ -209,22 +209,30 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
         limit = seg.end - 1 if left else seg.start + 1
     else:
         limit = lo if left else hi
+    item = ctx.ps.cumulative.item
+    background, sigma = ctx.noise.background, ctx.noise.sigma
+    sides, k_refine = ctx.cfg.sides, ctx.cfg.k_refine
+    key = _key(sides)
 
     cur = seg
+    floor = _floor(key(cur.z))
     while True:
         edge = cur.start if left else cur.end
-        step = min(math.ceil(cur.length / ctx.cfg.k_refine), (limit - edge) * sign)
+        step = min(math.ceil((cur.end - cur.start) / k_refine), (limit - edge) * sign)
         if step <= 0:
             break
         proposal = edge + sign * step
         start, end = (proposal, cur.end) if left else (cur.start, proposal)
-        z = ctx.z(start, end)
-        log_p = _beats(ctx, z, cur)
-        if log_p is not None:
-            jumped = Candidate(start, end, z, log_p)
-            ctx._record(op, cur, jumped)
-            cur = jumped
-            continue
+        n = end - start
+        # ctx.z's operations, in its order: range_sum, then z_statistic
+        z = ((item(end) - item(start)) / n - background) * math.sqrt(n) / sigma
+        if not key(z) < floor:
+            log_p = log_p_value(z, sides)
+            if log_p < cur.log_p:
+                jumped = Candidate(start, end, z, log_p)
+                ctx._record(op, cur, jumped)
+                cur, floor = jumped, _floor(key(z))
+                continue
         lo, hi = min(edge, proposal) + 1, max(edge, proposal)
         best = _search_gap(ctx, cur, lo, hi, left) if lo < hi else None
         if best is not None:
@@ -327,19 +335,29 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
     right boundary and includes any gap points. After a merge the new
     segment is re-tested against its left neighbor, then its right one; the
     pass ends at a fixpoint where no consecutive pair can merge. The span
-    beats both iff it beats the better member (_beats). Returns the
-    segments sorted by start.
+    beats both iff it beats the better member, and it gets a log p only if
+    its key reaches the floor of the better member's. Returns the segments
+    sorted by start.
     """
+    item = ctx.ps.cumulative.item
+    background, sigma = ctx.noise.background, ctx.noise.sigma
+    sides = ctx.cfg.sides
+    key = _key(sides)
     merged: list[Candidate] = []
     for right in sorted(selected, key=lambda c: c.start):
         while merged:
             left = merged[-1]
             better = left if left.log_p <= right.log_p else right
-            z = ctx.z(left.start, right.end)
-            log_p = _beats(ctx, z, better)
-            if log_p is None:
+            start, end = left.start, right.end
+            n = end - start
+            # ctx.z's operations, in its order: range_sum, then z_statistic
+            z = ((item(end) - item(start)) / n - background) * math.sqrt(n) / sigma
+            if key(z) < _floor(key(better.z)):
                 break
-            span = Candidate(left.start, right.end, z, log_p)
+            log_p = log_p_value(z, sides)
+            if not log_p < better.log_p:
+                break
+            span = Candidate(start, end, z, log_p)
             ctx._record("merge", (left, right), span)
             merged.pop()
             right = span

@@ -7,12 +7,16 @@ covered. All sums of one scale come from one strided-slice subtraction of
 the prefix-sum array, so the scan costs one subtraction per window placement
 instead of one pass per window; the predicted operation counts of the
 brute-force and memoized strategies are available from predicted_op_counts
-for comparison against an instrumented run. Every scale's stride, placement
-count and sum-space bounds are computed in one vector pass before the scan,
-and the windows' starts and ends once after it, so per scale the scan makes
-only a few numpy calls: the subtraction, the compare(s), a nonzero and, when
-the scale has hits, a gather of their sums. On short profiles those calls,
-not the windows, are most of the scan's cost.
+for comparison against an instrumented run. The part of the layout that
+depends only on (w_min, w_max, rho), each scale's length, stride and
+sqrt(length), is built once per ScanConfig and cached, since every profile
+of a run scans with one config. Each scan computes only the placement
+counts (from n) and the sum-space bounds (from sigma and the background),
+in one vector pass before the scan, and the windows' starts and ends once
+after it, so per scale the scan makes only a few numpy calls: the
+subtraction, the compare(s), a nonzero and, when the scale has hits, a
+gather of their sums. On short profiles those calls, not the windows, are
+most of the scan's cost. The table records how many windows were placed.
 
 Every window whose tail probability is at or below the retention threshold
 p_s becomes a candidate. The scan keeps candidates as the numpy columns of a
@@ -35,6 +39,8 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -114,9 +120,12 @@ class ScanConfig:
         return replace(self, w_max=n)
 
 
-@dataclass(frozen=True, slots=True)
-class Candidate:
-    """A scanned segment that survived the p_s retention filter."""
+class Candidate(NamedTuple):
+    """A scanned segment that survived the p_s retention filter.
+
+    A named tuple, so building one costs about what a tuple does: it is
+    immutable, hashable and equal to any tuple of the same fields.
+    """
 
     start: int
     end: int
@@ -145,6 +154,8 @@ class CandidateTable:
     ``start`` and ``end`` are int64, ``z`` and ``log_p`` float64, all of one
     length. ``scan`` sets the row order with a sort on log_p that keeps
     arrival order among ties, over rows that arrive longest scale first.
+    ``windows`` is the number of windows the scan placed, every one tested
+    whether or not it became a row; None for a table built elsewhere.
     ``candidate(i)`` builds the Candidate of row ``i``; stages that need
     only a few rows as objects (selection) build just those, from the
     columns.
@@ -154,6 +165,7 @@ class CandidateTable:
     end: np.ndarray
     z: np.ndarray
     log_p: np.ndarray
+    windows: int | None = None
 
     def __len__(self) -> int:
         return self.start.size
@@ -183,6 +195,40 @@ def window_lengths(cfg: ScanConfig) -> list[int]:
     """Sorted deduplicated window lengths ceil(rho**i * w_min) up to w_max."""
     # the scales grow, so their ceils come in sorted order
     return list(dict.fromkeys(map(math.ceil, _scales(cfg))))
+
+
+class _Layout(NamedTuple):
+    """The part of a scan's layout that does not depend on n or sigma.
+
+    One entry per scale, longest first: the window length, the stride and
+    sqrt(length) as read-only arrays, and ``scales``, (length, stride)
+    pairs as Python ints for the per-scale loop.
+    """
+
+    w: np.ndarray
+    stride: np.ndarray
+    root: np.ndarray
+    scales: tuple[tuple[int, int], ...]
+
+
+def _layout(w: np.ndarray, stride: np.ndarray) -> _Layout:
+    root = np.sqrt(w)
+    for column in (w, stride, root):
+        column.flags.writeable = False
+    return _Layout(w, stride, root, tuple(zip(w.tolist(), stride.tolist())))
+
+
+@lru_cache(maxsize=64)
+def _scale_layout(w_min: int, w_max: int, rho: float) -> _Layout:
+    """The layout of the scales of window_lengths, cached per (w_min, w_max, rho).
+
+    Every profile of a run scans with one ScanConfig, so the lengths, which
+    take a Python loop over the scales (hundreds of ms when rho is near 1),
+    are laid out once per run, not once per profile.
+    """
+    lengths = window_lengths(ScanConfig(w_min=w_min, w_max=w_max, rho=rho))
+    w = np.array(lengths[::-1], dtype=np.int64)
+    return _layout(w, -(-w // STRIDE_DIVISOR))
 
 
 # Relative loosening of the sum-space bounds; see scan.
@@ -223,14 +269,18 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     _check_background(noise, cfg)
     cfg = cfg.clamped(ps.n)
     n = ps.n
-    lengths = range(cfg.w_min, cfg.w_max + 1) if exhaustive else window_lengths(cfg)
+    if exhaustive:
+        w = np.arange(cfg.w_max, cfg.w_min - 1, -1, dtype=np.int64)
+        layout = _layout(w, np.ones_like(w))
+    else:
+        layout = _scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
     log_ps_max = math.log(cfg.p_s)
     cut = z_cut(log_ps_max, cfg.sides)
     # Every scale's placement and bounds in one vector pass, longest first,
     # so the rows arrive in (length descending, start) order and a sort on
-    # log_p that keeps it among ties finishes the table order.
-    w = np.array(lengths[::-1], dtype=np.int64)
-    stride = np.ones_like(w) if exhaustive else -(-w // STRIDE_DIVISOR)
+    # log_p that keeps it among ties finishes the table order. Only these
+    # depend on n and sigma; the rest of the layout is cached.
+    w, stride = layout.w, layout.stride
     m = (n - w) // stride + 1
     # plus a right-aligned final window so the profile tail is scanned; it
     # sits at index m, where m * stride > n - w
@@ -245,11 +295,12 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     # window, also when s / w - background cancels. The exact log p test
     # below still decides membership.
     c = w * noise.background
-    half = cut * noise.sigma * np.sqrt(w)
+    half = cut * noise.sigma * layout.root
     slack = _SUM_SLACK * (np.abs(c) + np.abs(half))
     hi, lo = c + half - slack, c - half + slack
+    windows = int(placed.sum())
     if counter is not None:
-        counter.add(placed.sum())
+        counter.add(windows)
     cum = ps.cumulative
     # one buffer each for the sums and the two compares, reused by every scale
     sums_buf = np.empty(n + 1)
@@ -257,8 +308,8 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     below_buf = np.empty(n + 1, dtype=bool)
     two = cfg.sides == "two"
     hits, near_sums = [], []
-    for w_i, stride_i, m_i, placed_i, hi_i, lo_i in zip(
-            w.tolist(), stride.tolist(), m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
+    for (w_i, stride_i), m_i, placed_i, hi_i, lo_i in zip(
+            layout.scales, m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
         sums = sums_buf[:placed_i]
         np.subtract(cum[w_i::stride_i], cum[:n - w_i + 1:stride_i], out=sums[:m_i])
         if placed_i > m_i:
@@ -280,7 +331,7 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     log_p = log_p_value_batch(z, cfg.sides)
     keep = np.flatnonzero(log_p <= log_ps_max)
     rows = keep[_stable_argsort(log_p[keep])]
-    return CandidateTable(start[rows], end[rows], z[rows], log_p[rows])
+    return CandidateTable(start[rows], end[rows], z[rows], log_p[rows], windows)
 
 
 def _stable_argsort(keys: np.ndarray) -> np.ndarray:

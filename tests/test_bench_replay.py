@@ -18,6 +18,7 @@ import pytest
 
 from segscan import (ScanConfig, predicted_op_counts, read_profile, segment_profile,
                      window_lengths, write_segments)
+from segscan import scanning
 
 SEGBENCH = Path(__file__).resolve().parents[1] / "segbench"
 
@@ -70,10 +71,19 @@ def test_side_channels_offered():
 
 
 @pytest.mark.parametrize("fmt", ["plain", "bedgraph"])
-def test_replay_matches_segment_profile(tmp_path, fmt):
+def test_replay_matches_segment_profile(tmp_path, monkeypatch, fmt):
     path = tmp_path / f"track.{fmt}"
     _write(path, _values(), fmt)
+    # the tables the replay's own scan returns
+    tables, real_scan = [], scanning.scan
+
+    def scan(*args, **kwargs):
+        tables.append(real_scan(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(scanning, "scan", scan)
     records, table, counts = layers.replay(layers.Tracer(), path, fmt, 0)
+    monkeypatch.undo()
 
     profile = read_profile(path, format=fmt)
     moves = []
@@ -85,6 +95,7 @@ def test_replay_matches_segment_profile(tmp_path, fmt):
     n = len(profile)
     assert counts["stats.prefix_ops"] == n
     assert counts["scanning.windows"] == _placements(n, ScanConfig())
+    assert counts["scanning.windows"] == sum(t.windows for t in tables)
     assert counts["scanning.predicted_ops"] == predicted_op_counts(n, ScanConfig())[1]
     # the replay counts the trace before merging; the pipeline's trace goes on
     # to record each merge as ("merge", ...)

@@ -432,6 +432,23 @@ class TestBulkParse:
         profile = parse_profile(text)
         assert profile.values.tobytes() == np.array(list(map(float, lines))).tobytes()
 
+    # a chunk whose head holds an exponent on most lines goes to the float
+    # reader from two byte counts; the decimal lines after that head read
+    # the same, and a defect among them still reaches the line loop
+    @pytest.mark.parametrize("line", [None, " 1.5", "NA", "", "1e5e"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_exponent_head_matches_line_loop(self, monkeypatch, line, newline):
+        values = np.random.default_rng(5).standard_normal(20_000).tolist()
+        rows = list(map("{:.17e}".format, values[:300])) + list(map(repr, values[300:]))
+        if line is not None:
+            rows[3_000] = line  # in the first chunk, past its head
+        text = newline.join(rows) + newline
+        assert len(text) > 2 * profiles._CHUNK
+        expected = _outcome(_parse_lines, text, "plain")
+        if line is None:
+            monkeypatch.setattr(profiles, "_parse_lines", _no_line_loop)
+        assert _outcome(parse_profile, text, "plain") == expected
+
     # older numpy warns about unmatched text and returns the values before
     # it, where numpy 2.4 raises: under an error filter the warning defers,
     # and without one a short read or text after the last value defers. A
@@ -620,3 +637,36 @@ class TestRoundTrip:
 def test_segment_record_validation():
     with pytest.raises(ValidationError):
         SegmentRecord(start=3, end=3, mean=0.0, z=0.0, log_p=0.0, significant=False)
+
+
+class TestSegmentRecordType:
+    RECORD = SegmentRecord(2, 9, 0.5, 1.25, -3.0, True)
+
+    def test_fields_repr_and_properties(self):
+        record = self.RECORD
+        assert SegmentRecord(start=2, end=9, mean=0.5, z=1.25, log_p=-3.0,
+                             significant=True) == record
+        assert repr(record) == ("SegmentRecord(start=2, end=9, mean=0.5, z=1.25, log_p=-3.0, "
+                                "significant=True)")
+        assert record.length == 7
+        assert record.p_value == math.exp(-3.0)
+
+    def test_equality_and_hashing_follow_the_fields(self):
+        same = SegmentRecord(2, 9, 0.5, 1.25, -3.0, True)
+        assert same == self.RECORD and hash(same) == hash(self.RECORD)
+        assert SegmentRecord(2, 9, 0.5, 1.25, -3.0, False) != self.RECORD
+        assert len({self.RECORD, same, SegmentRecord(2, 10, 0.5, 1.25, -3.0, True)}) == 2
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            self.RECORD.start = 0
+
+    @pytest.mark.parametrize("start, end", [(3, 3), (5, 3), (-1, 4)])
+    def test_every_construction_checks_the_interval(self, start, end):
+        message = rf"invalid segment interval \[{start}, {end}\)"
+        with pytest.raises(ValidationError, match=message):
+            SegmentRecord(start, end, 0.0, 0.0, 0.0, False)
+        with pytest.raises(ValidationError, match=message):
+            self.RECORD._replace(start=start, end=end)
+        with pytest.raises(ValidationError, match=message):
+            SegmentRecord._make((start, end, 0.0, 0.0, 0.0, False))

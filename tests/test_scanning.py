@@ -7,9 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
-from segscan import (NoiseModel, Profile, RefineContext, ScanConfig, ValidationError,
-                     build_prefix_sums, enumerate_candidates_dense, finalize,
+from segscan import (Candidate, CandidateTable, NoiseModel, Profile, RefineContext, ScanConfig,
+                     ValidationError, build_prefix_sums, enumerate_candidates_dense, finalize,
                      predicted_op_counts, scan, window_lengths)
+from segscan import scanning
 from segscan.stats import OpCounter, log_p_value_batch, z_cut
 
 
@@ -422,10 +423,10 @@ class TestPredictedOpCounts:
     def _assert_counts_each_placement_once(n, cfg):
         profile = Profile(np.random.default_rng(n).normal(size=n))
         counter = OpCounter()
-        scan(profile, build_prefix_sums(profile), NoiseModel(1.0), cfg, counter=counter)
+        table = scan(profile, build_prefix_sums(profile), NoiseModel(1.0), cfg, counter=counter)
         placements = sum(len(set(range(0, n - w + 1, math.ceil(w / 5))) | {n - w})
                          for w in window_lengths(cfg.clamped(n)))
-        assert counter.count == placements
+        assert counter.count == table.windows == placements
 
     @pytest.mark.parametrize("n, cfg", [
         (2000, ScanConfig()),
@@ -446,6 +447,85 @@ class TestPredictedOpCounts:
     def test_exhaustive_counter_counts_every_placement(self):
         profile = Profile(np.random.default_rng(2).normal(size=90))
         counter = OpCounter()
-        scan(profile, build_prefix_sums(profile), NoiseModel(1.0),
-             ScanConfig(w_min=2, w_max=30), exhaustive=True, counter=counter)
-        assert counter.count == sum(90 - w + 1 for w in range(2, 31))
+        table = scan(profile, build_prefix_sums(profile), NoiseModel(1.0),
+                     ScanConfig(w_min=2, w_max=30), exhaustive=True, counter=counter)
+        assert counter.count == table.windows == sum(90 - w + 1 for w in range(2, 31))
+
+
+# rho in (1, 1.001] gives tens of thousands of scales before the dedup; a rho
+# closer to 1 would take minutes to lay out
+_RHO = st.one_of(st.floats(1e-4, 1e-3).map(lambda d: 1.0 + d), st.floats(1.001, 4.0))
+
+
+class TestScaleLayout:
+    """The per-config layout scan caches against the uncached formulas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(w_min=st.integers(1, 40), span=st.integers(0, 360), rho=_RHO,
+           n=st.integers(1, 600))
+    @example(w_min=1, span=299, rho=1.1, n=1000)
+    @example(w_min=1, span=1, rho=1.00001, n=2)
+    @example(w_min=3, span=200, rho=1.001, n=50)
+    def test_cached_layout_matches_formulas(self, w_min, span, rho, n):
+        assume(n >= w_min)
+        cfg = ScanConfig(w_min=w_min, w_max=w_min + span, rho=rho).clamped(n)
+        layout = scanning._scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
+        lengths = window_lengths(cfg)[::-1]
+        strides = [math.ceil(w / 5) for w in lengths]
+        assert layout.w.tolist() == lengths
+        assert layout.stride.tolist() == strides
+        assert layout.root.tolist() == list(map(math.sqrt, lengths))
+        assert layout.scales == tuple(zip(lengths, strides))
+        profile = Profile(np.random.default_rng(n).normal(size=n))
+        table = scan(profile, build_prefix_sums(profile), NoiseModel(1.0), cfg)
+        assert table.windows == sum((n - w) // stride + 1 + ((n - w) % stride > 0)
+                                    for w, stride in zip(lengths, strides))
+
+    def test_cached_arrays_are_read_only(self):
+        layout = scanning._scale_layout(1, 300, 1.1)
+        for column in (layout.w, layout.stride, layout.root):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 7
+
+    def test_one_config_under_two_sigmas_matches_uncached_scans(self):
+        # one ScanConfig, two profiles, two noise models: the cached layout
+        # holds nothing that depends on n, sigma or the background
+        cfg = ScanConfig(w_max=60, rho=1.3, p_s=0.05, background=0.5)
+        rng = np.random.default_rng(12)
+        profiles = [Profile(rng.normal(0.5, 1.0, size=400)), Profile(rng.normal(0.5, 3.0, 900))]
+        noises = [NoiseModel(1.0, background=0.5), NoiseModel(2.5, background=0.5)]
+        cached = [scan(p, build_prefix_sums(p), noise, cfg) for p, noise in zip(profiles, noises)]
+        for profile, noise, table in zip(profiles, noises, cached):
+            scanning._scale_layout.cache_clear()
+            fresh = scan(profile, build_prefix_sums(profile), noise, cfg)
+            for column in ("start", "end", "z", "log_p", "windows"):
+                assert np.array_equal(getattr(table, column), getattr(fresh, column)), column
+            _assert_matches_reference(profile.values, noise, cfg)
+
+
+class TestCandidateRecord:
+    def test_fields_repr_and_properties(self):
+        cand = Candidate(3, 10, 2.5, -4.0)
+        assert (cand.start, cand.end, cand.z, cand.log_p) == (3, 10, 2.5, -4.0)
+        assert repr(cand) == "Candidate(start=3, end=10, z=2.5, log_p=-4.0)"
+        assert Candidate(start=3, end=10, z=2.5, log_p=-4.0) == cand
+        assert (cand.length, cand.interval, cand.sort_key) == (7, (3, 10), (-4.0, -7, 3))
+
+    def test_equality_and_hashing_follow_the_fields(self):
+        cand = Candidate(3, 10, 2.5, -4.0)
+        assert cand == Candidate(3, 10, 2.5, -4.0)
+        assert hash(cand) == hash(Candidate(3, 10, 2.5, -4.0))
+        assert cand != Candidate(3, 10, 2.5, -4.5)
+        assert len({cand, Candidate(3, 10, 2.5, -4.0), Candidate(4, 10, 2.5, -4.0)}) == 2
+
+    def test_immutable(self):
+        cand = Candidate(3, 10, 2.5, -4.0)
+        with pytest.raises(AttributeError):
+            cand.start = 4
+
+    def test_table_without_a_window_count(self):
+        # positional construction from the four columns still works
+        table = CandidateTable(np.array([0]), np.array([2]), np.array([1.0]), np.array([-1.0]))
+        assert table.windows is None
+        assert table.candidate(0) == Candidate(0, 2, 1.0, -1.0)
