@@ -18,15 +18,14 @@ from .scanning import (Candidate, CandidateTable, ScanConfig,
                        predicted_op_counts, scan, window_lengths)
 from .selection import select_nonoverlapping
 from .significance import SegmentationResult, bh_select_log, finalize
-from .stats import (NoiseModel, OpCounter, PrefixSums, build_prefix_sums,
-                    estimate_sigma_mad, log_p_value, segment_stats,
-                    z_statistic)
+from .stats import (NoiseModel, OpCounter, build_prefix_sums, estimate_sigma_mad,
+                    log_p_value, segment_stats, z_statistic)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Candidate", "CandidateTable", "DegenerateScaleError", "EvalReport",
-    "NoiseModel", "OpCounter", "PlantedSegment", "PrefixSums", "Profile",
+    "NoiseModel", "OpCounter", "PlantedSegment", "Profile",
     "ProfileParseError", "RefineContext", "ScanConfig", "SegmentRecord",
     "SegmentationResult", "SegscanError", "SimSpec", "ValidationError",
     "benchmark_suite", "bh_select_log",

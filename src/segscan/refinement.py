@@ -27,9 +27,9 @@ more boundaries is scored in one pass over a prefix-sum slice with the
 batch z and log p kernels, which give the scalar kernels' values bit for
 bit; shorter gaps are scored one boundary at a time, from the gap's prefix
 sums as Python floats. A move scores its jumps and short gaps with the
-scalar operations of range_sum and z_statistic written out in the loop,
-in their order, so the values are theirs bit for bit without a function
-call per boundary.
+scalar operations of segment_stats written out in the loop, in its order,
+so the values are its own bit for bit without a function call per
+boundary.
 
 The segments are kept in one list sorted by start. They are disjoint and a
 refined segment stays between its neighbors, so the list never reorders,
@@ -53,8 +53,7 @@ import numpy as np
 from .errors import ValidationError
 from .scanning import Candidate, ScanConfig, _check_background
 from .selection import BoundarySet
-from .stats import (NoiseModel, PrefixSums, log_p_value, log_p_value_batch, z_statistic,
-                    z_statistic_batch)
+from .stats import NoiseModel, log_p_value, log_p_value_batch, z_statistic_batch
 
 
 @dataclass
@@ -67,7 +66,7 @@ class RefineContext:
     differs from ``cfg.background`` raises ValidationError.
     """
 
-    ps: PrefixSums
+    ps: np.ndarray
     noise: NoiseModel
     cfg: ScanConfig
     # never read here; kept only because segbench's stage replay still
@@ -77,10 +76,6 @@ class RefineContext:
 
     def __post_init__(self):
         _check_background(self.noise, self.cfg)
-
-    def z(self, start: int, end: int) -> float:
-        """z score of [start, end) from prefix sums."""
-        return z_statistic(self.ps.range_sum(start, end), end - start, self.noise)
 
     def _record(self, op: str, before, after) -> None:
         if self.trace is not None:
@@ -147,14 +142,14 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
     sides = ctx.cfg.sides
     key = _key(sides)
     floor = _floor(key(cur.z))
-    cum = ctx.ps.cumulative
+    ps = ctx.ps
     # the gap's segments share the fixed edge ``anchor``; the boundaries go
     # outermost (longest segment) first
     anchor = cur.end if left else cur.start
     if hi - lo < GAP_BATCH_MIN:
         # the prefix sums at the boundaries as Python floats, each segment's
-        # sum one subtraction of two of them, as in range_sum
-        fixed, edges, sqrt = cum.item(anchor), cum[lo:hi].tolist(), math.sqrt
+        # sum one subtraction of two of them, as in segment_stats
+        fixed, edges, sqrt = ps.item(anchor), ps[lo:hi].tolist(), math.sqrt
         if left:
             boundaries = zip(count(anchor - lo, -1), edges)
         else:
@@ -175,7 +170,7 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
             return None
         n, z = best
     else:
-        sums = cum[anchor] - cum[lo:hi] if left else cum[lo:hi][::-1] - cum[anchor]
+        sums = ps[anchor] - ps[lo:hi] if left else ps[lo:hi][::-1] - ps[anchor]
         longest = anchor - lo if left else hi - 1 - anchor
         lengths = np.arange(longest, longest - (hi - lo), -1)
         z = z_statistic_batch(sums, lengths, ctx.noise)
@@ -209,7 +204,7 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
         limit = seg.end - 1 if left else seg.start + 1
     else:
         limit = lo if left else hi
-    item = ctx.ps.cumulative.item
+    item = ctx.ps.item
     background, sigma = ctx.noise.background, ctx.noise.sigma
     sides, k_refine = ctx.cfg.sides, ctx.cfg.k_refine
     key = _key(sides)
@@ -224,7 +219,7 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
         proposal = edge + sign * step
         start, end = (proposal, cur.end) if left else (cur.start, proposal)
         n = end - start
-        # ctx.z's operations, in its order: range_sum, then z_statistic
+        # segment_stats' operations, in its order: the sum, then z_statistic
         z = ((item(end) - item(start)) / n - background) * math.sqrt(n) / sigma
         if not key(z) < floor:
             log_p = log_p_value(z, sides)
@@ -278,7 +273,7 @@ def _quiet(ctx: RefineContext, segs: list[Candidate]) -> list[bool]:
     distance 1..step, and a per-move sign moves the first or the last edge
     by that distance. The number of numpy calls does not grow with m.
     """
-    m, n, sides = len(segs), ctx.ps.n, ctx.cfg.sides
+    m, n, sides = len(segs), ctx.ps.size - 1, ctx.cfg.sides
     key = _key(sides)
     start = np.fromiter((seg.start for seg in segs), np.int64, m)
     end = np.fromiter((seg.end for seg in segs), np.int64, m)
@@ -293,8 +288,7 @@ def _quiet(ctx: RefineContext, segs: list[Candidate]) -> list[bool]:
     dist = np.arange(1, cell.size + 1) - np.repeat(np.cumsum(count) - count, count)
     first = start[which] + _FIRST_SIGN[move] * dist
     last = end[which] + _LAST_SIGN[move] * dist
-    cum = ctx.ps.cumulative
-    z = z_statistic_batch(cum[last] - cum[first], last - first, ctx.noise)
+    z = z_statistic_batch(ctx.ps[last] - ctx.ps[first], last - first, ctx.noise)
     floor = _floor(key(np.fromiter((seg.z for seg in segs), np.float64, m)))
     rows = np.flatnonzero(key(z) >= floor[which])
     log_p = np.fromiter((seg.log_p for seg in segs), np.float64, m)
@@ -323,7 +317,7 @@ def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]
     last = len(segs) - 1
     for i in sorted((i for i, q in enumerate(quiet) if not q), key=lambda i: segs[i].sort_key):
         lo = segs[i - 1].end if i > 0 else 0
-        hi = segs[i + 1].start if i < last else ctx.ps.n
+        hi = segs[i + 1].start if i < last else ctx.ps.size - 1
         segs[i] = refine_segment(ctx, segs[i], lo, hi)
     return segs
 
@@ -339,7 +333,7 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
     its key reaches the floor of the better member's. Returns the segments
     sorted by start.
     """
-    item = ctx.ps.cumulative.item
+    item = ctx.ps.item
     background, sigma = ctx.noise.background, ctx.noise.sigma
     sides = ctx.cfg.sides
     key = _key(sides)
@@ -350,7 +344,7 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
             better = left if left.log_p <= right.log_p else right
             start, end = left.start, right.end
             n = end - start
-            # ctx.z's operations, in its order: range_sum, then z_statistic
+            # segment_stats' operations, in its order: the sum, then z_statistic
             z = ((item(end) - item(start)) / n - background) * math.sqrt(n) / sigma
             if key(z) < _floor(key(better.z)):
                 break

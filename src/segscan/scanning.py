@@ -45,8 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .stats import (NoiseModel, OpCounter, PrefixSums, log_p_value_batch, z_cut,
-                    z_statistic_batch)
+from .stats import NoiseModel, OpCounter, log_p_value_batch, z_cut, z_statistic_batch
 
 logger = logging.getLogger(__name__)
 
@@ -235,7 +234,7 @@ def _scale_layout(w_min: int, w_max: int, rho: float) -> _Layout:
 _SUM_SLACK = 1e-9
 
 
-def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
+def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
          exhaustive: bool = False, counter: OpCounter | None = None) -> CandidateTable:
     """Enumerate candidate segments with p <= p_s across all window scales.
 
@@ -244,8 +243,8 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     profile : Profile
         Not read: the scan takes the length and sums from ``ps``. Kept so
         that callers passing the arguments positionally still work.
-    ps : PrefixSums
-        Prefix sums of the profile values.
+    ps : np.ndarray
+        Prefix sums of the profile values, from build_prefix_sums.
     noise : NoiseModel
         Noise scale and background level for the z test; its background
         must equal ``cfg.background``.
@@ -267,8 +266,8 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
         windows past those bounds, the p-value only once, over their z.
     """
     _check_background(noise, cfg)
-    cfg = cfg.clamped(ps.n)
-    n = ps.n
+    n = ps.size - 1
+    cfg = cfg.clamped(n)
     if exhaustive:
         w = np.arange(cfg.w_max, cfg.w_min - 1, -1, dtype=np.int64)
         layout = _layout(w, np.ones_like(w))
@@ -301,7 +300,6 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     windows = int(placed.sum())
     if counter is not None:
         counter.add(windows)
-    cum = ps.cumulative
     # one buffer each for the sums and the two compares, reused by every scale
     sums_buf = np.empty(n + 1)
     above_buf = np.empty(n + 1, dtype=bool)
@@ -311,9 +309,9 @@ def scan(profile, ps: PrefixSums, noise: NoiseModel, cfg: ScanConfig, *,
     for (w_i, stride_i), m_i, placed_i, hi_i, lo_i in zip(
             layout.scales, m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
         sums = sums_buf[:placed_i]
-        np.subtract(cum[w_i::stride_i], cum[:n - w_i + 1:stride_i], out=sums[:m_i])
+        np.subtract(ps[w_i::stride_i], ps[:n - w_i + 1:stride_i], out=sums[:m_i])
         if placed_i > m_i:
-            sums[m_i] = cum.item(n) - cum.item(n - w_i)
+            sums[m_i] = ps.item(n) - ps.item(n - w_i)
         near = np.greater_equal(sums, hi_i, out=above_buf[:placed_i])
         if two:
             np.logical_or(near, np.less_equal(sums, lo_i, out=below_buf[:placed_i]), out=near)

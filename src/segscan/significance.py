@@ -19,7 +19,7 @@ import numpy as np
 
 from .profiles import Profile, SegmentRecord
 from .scanning import Candidate, ScanConfig, _check_background
-from .stats import TINY_P, NoiseModel, PrefixSums, log_p_value_batch, z_statistic_batch
+from .stats import TINY_P, NoiseModel, log_p_value_batch, z_statistic_batch
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ def bh_select_log(log_p: np.ndarray, alpha: float,
 
 
 def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
-             noise: NoiseModel, ps: PrefixSums,
+             noise: NoiseModel, ps: np.ndarray,
              m_total: int | None = None) -> SegmentationResult:
     """Recompute statistics, then call segments by BH at cfg.alpha and the cutoff.
 
@@ -78,7 +78,7 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     segments = sorted(refined, key=lambda c: c.start)
     start = np.fromiter((seg.start for seg in segments), np.int64, len(segments))
     end = np.fromiter((seg.end for seg in segments), np.int64, len(segments))
-    sums = ps.cumulative[end] - ps.cumulative[start]
+    sums = ps[end] - ps[start]
     mean = sums / (end - start)
     z = z_statistic_batch(sums, end - start, noise)
     log_ps = log_p_value_batch(z, cfg.sides)

@@ -75,37 +75,30 @@ class NoiseModel:
             raise ValidationError("background level must be finite")
 
 
-@dataclass(frozen=True)
-class PrefixSums:
-    """Cumulative sums of a profile, length n+1 with cumulative[0] == 0."""
+def build_prefix_sums(profile, counter: OpCounter | None = None) -> np.ndarray:
+    """The read-only float64 cumulative sums of a profile: n + 1 values, the first 0.
 
-    cumulative: np.ndarray
+    O(N) construction; afterwards the sum of values[start:end] is one
+    subtraction, ``ps[end] - ps[start]`` (see segment_stats).
 
-    @property
-    def n(self) -> int:
-        """Profile length."""
-        return self.cumulative.size - 1
-
-    def range_sum(self, start: int, end: int) -> float:
-        """Sum of values[start:end] in O(1)."""
-        # item() hands back Python floats; their difference is the same
-        # IEEE subtraction as on the array's doubles
-        return self.cumulative.item(end) - self.cumulative.item(start)
-
-
-def build_prefix_sums(profile, counter: OpCounter | None = None) -> PrefixSums:
-    """Build the cumulative sum array of a profile.
-
-    O(N) construction; afterwards any segment sum is one subtraction.
+    Raises
+    ------
+    ValidationError
+        If some window sum would overflow double precision, that is, if
+        the largest prefix sum minus the smallest is not finite.
     """
     values = profile.values
-    cumulative = np.empty(values.size + 1, dtype=np.float64)
-    cumulative[0] = 0.0
-    np.cumsum(values, out=cumulative[1:])
-    cumulative.flags.writeable = False
+    ps = np.empty(values.size + 1, dtype=np.float64)
+    ps[0] = 0.0
+    with np.errstate(over="ignore"):
+        np.cumsum(values, out=ps[1:])
+    # Python floats, whose difference overflows to inf without a warning
+    if not math.isfinite(ps.max().item() - ps.min().item()):
+        raise ValidationError("prefix sums overflow double precision; rescale the profile")
+    ps.flags.writeable = False
     if counter is not None:
         counter.add(values.size)
-    return PrefixSums(cumulative)
+    return ps
 
 
 def estimate_sigma_mad(profile, background: float = 0.0) -> NoiseModel:
@@ -382,10 +375,15 @@ def z_cut(log_p_max: float, sides: str = "two") -> float:
     return cut - 1e-6 * (1.0 + abs(cut))
 
 
-def segment_stats(ps: PrefixSums, noise: NoiseModel, start: int, end: int,
+def segment_stats(ps: np.ndarray, noise: NoiseModel, start: int, end: int,
                   sides: str = "two") -> tuple[float, float, float]:
-    """(mean, z, log_p) of values[start:end] from prefix sums."""
+    """(mean, z, log_p) of values[start:end] from the prefix sums ``ps``.
+
+    The reference order of the scalar operations: the sum is one
+    subtraction of two prefix sums as Python floats, the same IEEE
+    subtraction as on the array's doubles, then z_statistic.
+    """
     n = end - start
-    total = ps.range_sum(start, end)
+    total = ps.item(end) - ps.item(start)
     z = z_statistic(total, n, noise)
     return total / n, z, log_p_value(z, sides)

@@ -62,7 +62,7 @@ def test_c01_memoization_correctness():
             direct_mean = direct_sums / w
             direct_z = (direct_sums / w) * np.sqrt(w) / noise.sigma
             direct_log_p = log_p_value_batch(direct_z)
-            prefix_mean = (ps.cumulative[starts + w] - ps.cumulative[starts]) / w
+            prefix_mean = (ps[starts + w] - ps[starts]) / w
             got_z = table.z[group]
             got_log_p = table.log_p[group]
             # atol covers near-zero means where a pure relative bound is ill-posed

@@ -137,6 +137,24 @@ class TestSegment:
         assert (out_dir / "good.segments.tsv").read_bytes() == \
             (tmp_path / "alone.tsv").read_bytes()
 
+    def test_overflowing_sums_are_data_error(self, tmp_path):
+        # a process of its own, so that its stderr shows any warning numpy
+        # would print under the default filters
+        good = _write_profile(tmp_path / "good.txt", seed=6)
+        values = np.random.default_rng(6).normal(size=1000)
+        values[::100] = 1.7e308
+        huge = tmp_path / "huge.txt"
+        huge.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        out_dir = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(segscan.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-m", "segscan.cli", "segment", str(good),
+                              str(huge), "--output", str(out_dir)],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert out.returncode == 2
+        assert out.stderr == (f"segscan: error: {huge}: prefix sums overflow double "
+                              "precision; rescale the profile\n")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["good.segments.tsv"]
+
     def test_output_in_missing_directory_names_the_output(self, tmp_path, capsys):
         good = _write_profile(tmp_path / "good.txt", seed=6)
         out = tmp_path / "nonexistent" / "x.tsv"

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from segscan import (Candidate, NoiseModel, Profile, RefineContext, ScanConfig,
-                     ValidationError, build_prefix_sums, log_p_value, merge_adjacent, refine_all,
+                     ValidationError, build_prefix_sums, merge_adjacent, refine_all,
                      refinement, scan, segment_stats, select_nonoverlapping)
 from segscan.refinement import move_boundary
 
@@ -26,8 +26,8 @@ def _context(values, k_refine=10, trace=None):
 
 def _stat(ctx, start, end):
     """Candidate for [start, end) scored as refinement scores it."""
-    z = ctx.z(start, end)
-    return Candidate(start, end, z, log_p_value(z, ctx.cfg.sides))
+    return Candidate(start, end, *segment_stats(ctx.ps, ctx.noise, start, end,
+                                                ctx.cfg.sides)[1:])
 
 
 def _block_profile(n, start, end, height):
@@ -315,7 +315,7 @@ def _reference_refine_all(ctx, selected):
         del starts[i], ends[i]
         left, right = bisect_right(starts, seg.start), bisect_left(starts, seg.end)
         lo = ends[left - 1] if left > 0 else 0
-        hi = starts[right] if right < len(starts) else ctx.ps.n
+        hi = starts[right] if right < len(starts) else ctx.ps.size - 1
         new = refinement.refine_segment(ctx, seg, lo, hi)
         assert lo <= new.start and new.end <= hi
         i = bisect_right(starts, new.start)
@@ -456,7 +456,7 @@ def _log_p_everywhere_refine_all(ctx, selected):
     segs = sorted(selected, key=lambda c: c.start)
     for i in sorted(range(len(segs)), key=lambda i: segs[i].sort_key):
         lo = segs[i - 1].end if i > 0 else 0
-        hi = segs[i + 1].start if i < len(segs) - 1 else ctx.ps.n
+        hi = segs[i + 1].start if i < len(segs) - 1 else ctx.ps.size - 1
         seg, quiet = segs[i], 0
         for op in cycle(refinement.MOVES):
             moved = _reference_move(ctx, seg, op, lo, hi)
@@ -567,7 +567,7 @@ def test_cleared_segment_stays_between_any_limits(seed, n, dof, scale, sides, ba
 def _reference_quiet(ctx, segs):
     """_quiet from segment_stats: every first-step boundary of the four moves,
     with no neighbor in the way, and an exact log p for each."""
-    n, k, sides = ctx.ps.n, ctx.cfg.k_refine, ctx.cfg.sides
+    n, k, sides = ctx.ps.size - 1, ctx.cfg.k_refine, ctx.cfg.sides
     out = []
     for seg in segs:
         s, e = seg.start, seg.end
