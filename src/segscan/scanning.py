@@ -12,11 +12,11 @@ depends only on (w_min, w_max, rho), each scale's length, stride and
 sqrt(length), is built once per ScanConfig and cached, since every profile
 of a run scans with one config. Each scan computes only the placement
 counts (from n) and the sum-space bounds (from sigma and the background),
-in one vector pass before the scan, and the windows' starts and ends once
-after it, so per scale the scan makes only a few numpy calls: the
-subtraction, the compare(s), a nonzero and, when the scale has hits, a
-gather of their sums. On short profiles those calls, not the windows, are
-most of the scan's cost. The table records how many windows were placed.
+in one vector pass before the scan, so per scale the scan makes only a few
+numpy calls: the subtraction, the compare(s), a nonzero and, when the
+scale has hits, a gather of their sums. On short profiles those calls, not
+the windows, are most of the scan's cost. The table records how many
+windows were placed.
 
 Every window whose tail probability is at or below the retention threshold
 p_s becomes a candidate. The scan keeps candidates as the numpy columns of a
@@ -31,6 +31,17 @@ descending, start ascending) order. A sort on log p that keeps that order
 among ties gives the table order (log_p ascending, length descending, start
 ascending): numpy's default sort, or its stable sort when two log p values
 are equal. The secondary keys make runs reproducible when p-values tie.
+
+The tail after the per-scale loop holds a fixed set of row-sized arrays,
+about seven at its peak against the table's four, because each one it
+frees is trimmed from the heap and the next profile would fault its pages
+in again. The hits' indexes and sums are joined once, and a per-row scale
+index reads each row's stride and length from the layout's per-scale
+arrays. Start, end, z and log p are computed _TAIL_BLOCK rows at a time,
+the first and third in place over the joined indexes and sums, so every
+other temporary is block-sized. The sorted keys become the log_p
+column; the rows that fail the exact test sort last and are cut off. The
+other columns are gathered into arrays the tail no longer reads.
 """
 
 from __future__ import annotations
@@ -262,8 +273,8 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
     CandidateTable
         One row per window with log p <= log p_s, in (log_p, length
         descending, start) order. Every window costs one subtraction and
-        a compare against the sum-space bounds; z is computed only for the
-        windows past those bounds, the p-value only once, over their z.
+        a compare against the sum-space bounds; z and the p-value are
+        computed only for the windows past those bounds.
     """
     _check_background(noise, cfg)
     n = ps.size - 1
@@ -300,14 +311,42 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
     windows = int(placed.sum())
     if counter is not None:
         counter.add(windows)
-    # one buffer each for the sums and the two compares, reused by every scale
+    hits, hit_sums = _scale_hits(ps, layout.scales, m, placed, hi, lo, cfg.sides == "two")
+    # the per-scale lists go as soon as they are joined (see the module notes)
+    count = [near.size for near in hits]
+    start = np.concatenate(hits)
+    z = np.concatenate(hit_sums) if hit_sums else np.empty(0)
+    del hits, hit_sums
+    scale = np.repeat(np.arange(len(count), dtype=np.int64), count)
+    end, log_p = _fill_rows(scale, start, z, layout, n, noise, cfg.sides)
+    order, log_p_sorted = _stable_argsort(log_p)
+    # rows that fail the exact test, log p > log p_s, sort after every other
+    kept = int(np.searchsorted(log_p_sorted, log_ps_max, side="right"))
+    if kept < order.size:
+        order, log_p_sorted = order[:kept], log_p_sorted[:kept]
+    # Gather into buffers no longer read: the unsorted log p, the scale
+    # index, then the unsorted starts. mode="clip" changes nothing for these
+    # in-range indexes; the default mode copies out= through a temporary.
+    z = np.take(z, order, out=log_p[:kept], mode="clip")
+    starts = np.take(start, order, out=scale[:kept], mode="clip")
+    ends = np.take(end, order, out=start[:kept], mode="clip")
+    return CandidateTable(starts, ends, z, log_p_sorted, windows)
+
+
+def _scale_hits(ps: np.ndarray, scales, m: np.ndarray, placed: np.ndarray, hi: np.ndarray,
+                lo: np.ndarray, two: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per scale, the indexes of the windows past the bounds and, if any, their sums.
+
+    The sums and the two compares of every scale share one n + 1 buffer
+    each, freed on return, before the tail allocates.
+    """
+    n = ps.size - 1
     sums_buf = np.empty(n + 1)
     above_buf = np.empty(n + 1, dtype=bool)
     below_buf = np.empty(n + 1, dtype=bool)
-    two = cfg.sides == "two"
-    hits, near_sums = [], []
+    hits, hit_sums = [], []
     for (w_i, stride_i), m_i, placed_i, hi_i, lo_i in zip(
-            layout.scales, m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
+            scales, m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
         sums = sums_buf[:placed_i]
         np.subtract(ps[w_i::stride_i], ps[:n - w_i + 1:stride_i], out=sums[:m_i])
         if placed_i > m_i:
@@ -318,31 +357,57 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
         near = near.nonzero()[0]
         hits.append(near)
         if near.size:
-            near_sums.append(sums[near])
-    # each hit's index within its scale, and its scale's stride and length
-    count = [near.size for near in hits]
-    near = np.concatenate(hits)
-    start = np.minimum(near * np.repeat(stride, count), np.repeat(n - w, count))
-    end = start + np.repeat(w, count)
-    sums = np.concatenate(near_sums) if near_sums else np.empty(0)
-    z = z_statistic_batch(sums, end - start, noise)
-    log_p = log_p_value_batch(z, cfg.sides)
-    keep = np.flatnonzero(log_p <= log_ps_max)
-    rows = keep[_stable_argsort(log_p[keep])]
-    return CandidateTable(start[rows], end[rows], z[rows], log_p[rows], windows)
+            hit_sums.append(sums[near])
+    return hits, hit_sums
 
 
-def _stable_argsort(keys: np.ndarray) -> np.ndarray:
-    """np.argsort(keys, kind="stable"), from numpy's default sort when it can.
+#: Rows per block of the scan's tail; its temporaries are this many rows long.
+_TAIL_BLOCK = 8192
 
-    Distinct keys have one sorted order, which the default sort finds
-    several times faster; only equal keys need the stable sort's tie order.
+
+def _fill_rows(scale: np.ndarray, start: np.ndarray, z: np.ndarray, layout: _Layout, n: int,
+               noise: NoiseModel, sides: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's start and z in place, and its (end, log p) as new arrays.
+
+    On entry ``start`` holds each row's window index within its scale,
+    ``z`` its window sum and ``scale`` its scale's position in ``layout``.
+    The rows go _TAIL_BLOCK at a time, each block reading its strides and
+    lengths from the layout's per-scale arrays into one block-sized
+    buffer, so no temporary grows with the number of rows.
+    """
+    rows = start.size
+    end = np.empty(rows, dtype=np.int64)
+    log_p = np.empty(rows)
+    last = n - layout.w
+    ints = np.empty(min(rows, _TAIL_BLOCK), dtype=np.int64)
+    for o in range(0, rows, _TAIL_BLOCK):
+        at = scale[o:o + _TAIL_BLOCK]
+        rows_at = slice(o, o + at.size)
+        starts, buf = start[rows_at], ints[:at.size]
+        # the right-aligned tail window sits at index m, past n - w
+        starts *= layout.stride.take(at, out=buf, mode="clip")
+        np.minimum(starts, last.take(at, out=buf, mode="clip"), out=starts)
+        w = layout.w.take(at, out=buf, mode="clip")
+        np.add(starts, w, out=end[rows_at])
+        z[rows_at] = z_statistic_batch(z[rows_at], w, noise)
+        log_p[rows_at] = log_p_value_batch(z[rows_at], sides)
+    return end, log_p
+
+
+def _stable_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.argsort(keys, kind="stable") and the keys in that order.
+
+    The order comes from numpy's default sort when it can: distinct keys
+    have one sorted order, which the default sort finds several times
+    faster; only equal keys need the stable sort's tie order.
     """
     order = np.argsort(keys)
-    ordered = keys[order]
+    ordered = keys.take(order)
     if (ordered[1:] == ordered[:-1]).any():
-        return np.argsort(keys, kind="stable")
-    return order
+        order = np.argsort(keys, kind="stable")
+        # tied keys can differ in sign (0.0 and -0.0), so gather them again
+        np.take(keys, order, out=ordered, mode="clip")
+    return order, ordered
 
 
 def predicted_op_counts(n: int, cfg: ScanConfig) -> tuple[int, int]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +356,114 @@ class TestPrefilter:
         table = scan(Profile(values), build_prefix_sums(Profile(values)), NoiseModel(1.0), cfg)
         assert np.unique(table.log_p).size < len(table) // 4
         _assert_matches_reference(values, NoiseModel(1.0), cfg)
+
+
+_BLOCK = scanning._TAIL_BLOCK
+_COLUMNS = (("start", np.int64), ("end", np.int64), ("z", np.float64), ("log_p", np.float64))
+
+
+def _scan_values(values, noise, cfg):
+    profile = Profile(np.asarray(values, dtype=np.float64))
+    return scan(profile, build_prefix_sums(profile), noise, cfg)
+
+
+class TestTailBlocks:
+    """scan's tail runs in blocks of _TAIL_BLOCK rows; tables that span several."""
+
+    # ~3.4 blocks of rows two-sided or one-sided, ~4.5 against background 0.3
+    _MULTI = np.random.default_rng(3).standard_normal(4700)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"sides": "one"}, {"background": 0.3}])
+    def test_multi_block_matches_unfiltered_reference(self, kwargs):
+        cfg = ScanConfig(p_s=0.5, **kwargs)
+        noise = NoiseModel(1.0, background=cfg.background)
+        rows = len(_scan_values(self._MULTI, noise, cfg))
+        assert rows > 3 * _BLOCK and rows % _BLOCK
+        if not kwargs:
+            assert rows < 4 * _BLOCK
+        _assert_matches_reference(self._MULTI, noise, cfg)
+
+    def test_exactly_one_block(self):
+        # lengths 3 and 1, both at stride 1: 2n - 2 windows, all kept at p_s 1
+        n = _BLOCK // 2 + 1
+        cfg = ScanConfig(w_min=1, w_max=3, rho=3.0, p_s=1.0)
+        values = np.random.default_rng(4).standard_normal(n)
+        assert len(_scan_values(values, NoiseModel(1.0), cfg)) == _BLOCK
+        _assert_matches_reference(values, NoiseModel(1.0), cfg)
+
+    def test_no_hits(self):
+        table = _scan_values(np.zeros(500), NoiseModel(1.0), ScanConfig())
+        assert len(table) == 0 and table.windows > 0
+        _assert_matches_reference(np.zeros(500), NoiseModel(1.0), ScanConfig())
+
+    def test_rows_failing_the_exact_test_in_a_multi_block_table(self):
+        # Every |z| = 2 window passes the loosened sum bounds but has log p
+        # just above log p_s, so the exact test drops a few thousand rows,
+        # which sort last; the many ties take the stable order.
+        log_p2 = log_p_value_batch(np.array([2.0])).item()
+        cfg = ScanConfig(w_max=40, p_s=math.exp(log_p2 - 1e-9))
+        assert z_cut(math.log(cfg.p_s)) < 2.0
+        values = np.random.default_rng(5).integers(-3, 4, size=6000).astype(np.float64)
+        table = _scan_values(values, NoiseModel(1.0), cfg)
+        looser = _scan_values(values, NoiseModel(1.0), replace(cfg, p_s=math.exp(log_p2 + 1e-9)))
+        assert len(table) > 2 * _BLOCK and len(looser) - len(table) > 1000
+        assert not np.any(np.abs(table.z) == 2.0)
+        _assert_matches_reference(values, NoiseModel(1.0), cfg)
+
+    @pytest.mark.parametrize("keys", [
+        np.array([0.0, -0.0] * 50 + [-1.0, 0.0, -0.0] * 20),
+        np.random.default_rng(6).standard_normal(300),
+        np.empty(0),
+    ], ids=["signed-zero-ties", "distinct", "empty"])
+    def test_stable_argsort_returns_the_keys_in_stable_order(self, keys):
+        # the tail takes the sorted keys as the log_p column, so they must
+        # be the stable order's keys bit for bit, zero signs included
+        order, ordered = scanning._stable_argsort(keys)
+        expected = np.argsort(keys, kind="stable")
+        assert np.array_equal(order, expected)
+        assert ordered.tobytes() == keys[expected].tobytes()
+
+    @pytest.mark.parametrize("values", [_MULTI, np.zeros(500)], ids=["multi-block", "empty"])
+    def test_columns_stand_alone(self, values):
+        table = _scan_values(values, NoiseModel(1.0), ScanConfig(p_s=0.5))
+        columns = [getattr(table, name) for name, _ in _COLUMNS]
+        for column, (name, dtype) in zip(columns, _COLUMNS):
+            assert column.dtype == dtype and column.flags.c_contiguous, name
+            assert column.size == len(table), name
+        for i, first in enumerate(columns):
+            for second in columns[i + 1:]:
+                assert not np.shares_memory(first, second)
+
+    def test_peak_memory_is_bounded_by_the_table(self):
+        # Runs of broad +-0.5-1 sigma segments over half of 100k points, so
+        # about one window in ten is a row. The tail holds about seven
+        # row-sized arrays (2.6 times the table's four allows for them), the
+        # per-scale loop three n + 1 buffers: 10 bytes per point.
+        rng = np.random.default_rng(26)
+        n = 100_000
+        values = rng.standard_normal(n)
+        pos = 100
+        while pos + 3000 < n:
+            length = int(rng.integers(300, 3001))
+            values[pos:pos + length] += rng.choice((-1.0, 1.0)) * rng.uniform(0.5, 1.0)
+            pos += length + int(rng.integers(50, 501) if rng.random() < 0.5
+                                else rng.integers(2000, 6501))
+        profile = Profile(values)
+        ps = build_prefix_sums(profile)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            table = scan(profile, ps, NoiseModel(1.0), ScanConfig())
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        table_bytes = sum(getattr(table, name).nbytes for name, _ in _COLUMNS)
+        assert len(table) > 50_000
+        assert peak <= 2.6 * table_bytes + 10 * (n + 1)
 
 
 @st.composite
