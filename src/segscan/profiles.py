@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import codecs
 import math
-import re
 import sys
 from dataclasses import dataclass
 from itertools import repeat
@@ -188,9 +187,15 @@ def parse_profile(source, format: str = "plain") -> Profile:
 def _parse_bulk(data: bytes, format: str) -> Profile | None:
     """Return the Profile ``_parse_lines`` would return, or None to defer to it.
 
-    Non-ASCII tsv and bedGraph text and a non-ASCII plain body defer;
-    columns past the value are ignored.
+    Lines end at LF or CRLF. A file whose first CR is a lone CR has every CR
+    read as LF, which splits it where str.splitlines does; a file that also
+    holds a CRLF then has a blank line, which defers it. Non-ASCII tsv and
+    bedGraph text and a non-ASCII plain body defer; columns past the value
+    are ignored.
     """
+    cr = data.find(b"\r")
+    if cr >= 0 and not data.startswith(b"\n", cr + 1):
+        data = data.replace(b"\r", b"\n")
     start = _body_start(data)
     if start is None:
         return None
@@ -221,31 +226,26 @@ def _parse_bulk(data: bytes, format: str) -> Profile | None:
         return None
 
 
-# A line ends at LF, CRLF or a lone CR, as in str.splitlines; the other
-# breaks splitlines knows (VT, FF, "\x1c"-"\x1e", non-ASCII) are left to
-# float() and the checks below.
-_LINE_END = re.compile(rb"\r\n?|\n")
-
-
 def _body_start(data: bytes) -> int | None:
     """The offset of the first line past the leading skipped lines, or None.
 
-    The walk goes one line at a time and never splits the file. None when no
-    data line follows, when a skipped line is not UTF-8, or when it holds
-    another line break ("# h\x0c1.5"), which would hide a line from the walk.
+    The walk goes one line at a time, each line ending at an LF, less one CR
+    before it, and never splits the file. None when no data line follows,
+    when a skipped line is not UTF-8, or when it holds another line break (a
+    lone CR or "# h\x0c1.5"), which would hide a line from the walk.
     """
     start = 0
     while True:
-        match = _LINE_END.search(data, start)
+        end = data.find(b"\n", start)
         try:
-            line = data[start:match.start() if match else len(data)].decode()
+            line = data[start:end if end >= 0 else len(data)].decode().removesuffix("\r")
         except UnicodeDecodeError:
             return None
         if not _skip(line):
             return start
-        if match is None or (line and line.splitlines() != [line]):
+        if end < 0 or (line and line.splitlines() != [line]):
             return None
-        start = match.end()
+        start = end + 1
 
 
 # Where np.longdouble is x87's 80-bit format (a 64-bit significand, low
@@ -266,13 +266,13 @@ _INT64 = np.iinfo(np.int64)
 def _parse_plain(data: bytes, start: int) -> Profile | None:
     """The plain branch of ``_parse_bulk``: ``data[start:]`` in line-end chunks.
 
-    Each chunk of about ``_CHUNK`` bytes ends at a line end, so a CRLF is
+    Each chunk of about ``_CHUNK`` bytes ends just past an LF, so a CRLF is
     never split and only one chunk's working arrays are alive at a time.
     """
     parts = []
     while start < len(data):
-        match = _LINE_END.search(data, start + _CHUNK)
-        stop = match.end() if match else len(data)
+        end = data.find(b"\n", start + _CHUNK)
+        stop = end + 1 if end >= 0 else len(data)
         # numpy 2.4 raises ValueError on unmatched text, where older numpy
         # warns and returns the values before it; float() raises ValueError
         try:
@@ -295,42 +295,43 @@ def _parse_plain(data: bytes, start: int) -> Profile | None:
 def _read_chunk(chunk: bytes) -> np.ndarray | None:
     """The value of each line of ``chunk``, or None to defer the body.
 
-    On x87 the chunk is read by ``_decimal_values``, unless more than one
-    line in eight holds a byte outside ``[0-9.\\-]`` ("1e-05", " 1.5",
-    "nan"): such a chunk is cheaper through numpy's float separator reader.
-    A chunk whose first ``_PROBE`` bytes hold more than one "e" per eight
-    lines ("%.17e", np.savetxt's default) goes to that reader from those
-    byte counts alone, before the per-byte masks the decimal read needs.
-    The reader splits at any run of C whitespace, so it reads only chunks
-    without a space, tab, VT or FF, where it splits only at line ends and
-    reads each line to ``float()``'s double or to an error (or to the nan
-    of "nan(123)", which Profile rejects). Either way a read that stops
-    early comes up short of one value per line (blank lines do too), and
-    text after the last value fails ``float()`` of the last line.
+    Lines end at LF. On x87 the chunk is read by ``_decimal_values``,
+    unless more than one line in eight holds a byte outside ``[0-9.\\-]``
+    ("1e-05", " 1.5", "nan", a CR that does not end a CRLF): such a chunk is
+    cheaper through numpy's float separator reader. A chunk whose first
+    ``_PROBE`` bytes hold more than one "e" per eight lines ("%.17e",
+    np.savetxt's default) goes to that reader from those byte counts alone,
+    before the per-byte masks the decimal read needs. The reader splits at
+    any run of C whitespace, so it reads only chunks without a space, tab,
+    VT, FF or lone CR, where it splits only at line ends and reads each
+    line to ``float()``'s double or to an error (or to the nan of
+    "nan(123)", which Profile rejects). Either way a read that stops early
+    comes up short of one value per line (blank lines do too), and text
+    after the last value fails ``float()`` of the last line.
     """
     if not chunk.isascii():
         return None
-    text = chunk if chunk.endswith((b"\n", b"\r")) else chunk + b"\n"
-    decimal = _X87 and (8 * text.count(b"e", 0, _PROBE)
-                        <= (text.count(b"\n", 0, _PROBE) or text.count(b"\r", 0, _PROBE)))
+    text = chunk if chunk.endswith(b"\n") else chunk + b"\n"
+    decimal = _X87 and 8 * text.count(b"e", 0, _PROBE) <= text.count(b"\n", 0, _PROBE)
     buf = np.frombuffer(text, np.uint8)
-    has_cr = b"\r" in text
-    if decimal or has_cr:
-        ends = _line_ends(buf, has_cr)
+    if decimal:
+        # line i is text[starts[i]:stops[i]], without the CR of a CRLF
+        ends = np.flatnonzero(buf == 10)
         lines = ends.size
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        stops = ends - (buf[ends - 1] == 13)
+        # every byte outside [0-9.-], a CR too unless it ends a CRLF
+        outside = (buf - np.uint8(45) > 12) & (buf != 10) | (buf == 47)
+        outside[stops] = False
+        other = np.zeros(lines, bool)
+        other[np.searchsorted(ends, np.flatnonzero(outside))] = True
+        decimal = 8 * np.count_nonzero(other) <= lines
     else:
         lines = np.count_nonzero(buf == 10)
     if decimal:
-        # line i is text[starts[i]:stops[i]], without the CR of a CRLF
-        starts = np.concatenate(([0], ends[:-1] + 1))
-        stops = ends - (buf[ends - 1] == 13)
-        other = np.zeros(lines, bool)
-        other[np.searchsorted(ends, np.flatnonzero(
-            (buf - np.uint8(45) > 12) & (buf != 10) & (buf != 13) | (buf == 47)))] = True
-        decimal = 8 * np.count_nonzero(other) <= lines
-    if decimal:
         values = _decimal_values(text, starts, stops, ends, other)
-    elif any(map(text.__contains__, (b" ", b"\t", b"\x0b", b"\x0c"))):
+    elif (any(map(text.__contains__, (b" ", b"\t", b"\x0b", b"\x0c")))
+          or b"\r" in text and ((buf[:-1] == 13) & (buf[1:] != 10)).any()):
         return None
     else:
         values = np.fromstring(text, sep="\n")
@@ -339,24 +340,9 @@ def _read_chunk(chunk: bytes) -> np.ndarray | None:
     # the last line, without its line end
     stop = len(text) - (2 if text.endswith(b"\r\n") else 1)
     first = text.rfind(b"\n", 0, stop) + 1
-    if has_cr:
-        first = max(first, text.rfind(b"\r", 0, stop) + 1)
     if values[-1] != float(text[first:stop].decode()):
         return None
     return values
-
-
-def _line_ends(buf: np.ndarray, has_cr: bool) -> np.ndarray:
-    """The offset of each LF and of each CR not followed by LF in ``buf``.
-
-    A function of its own, so its chunk-sized masks are freed on return.
-    """
-    breaks = buf == 10
-    if has_cr:
-        lone = buf == 13
-        lone[:-1] &= ~breaks[1:]
-        breaks |= lone
-    return np.flatnonzero(breaks)
 
 
 def _decimal_values(text: bytes, starts: np.ndarray, stops: np.ndarray, ends: np.ndarray,

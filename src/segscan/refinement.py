@@ -26,9 +26,9 @@ exact log p, and that exact value alone decides. A gap of GAP_BATCH_MIN or
 more boundaries is scored in one pass over a prefix-sum slice with the
 batch z and log p kernels, which give the scalar kernels' values bit for
 bit; shorter gaps are scored one boundary at a time, from the gap's prefix
-sums as Python floats. A move scores its jumps and short gaps with the
-scalar operations of segment_stats written out in the loop, in its order,
-so the values are its own bit for bit without a function call per
+sums as Python floats. Jumps and merges get z from z_statistic, as
+segment_stats does; only the short-gap loop writes its formula out, in its
+order, so the values are the same bit for bit without a function call per
 boundary.
 
 The segments are kept in one list sorted by start. They are disjoint and a
@@ -53,7 +53,7 @@ import numpy as np
 from .errors import ValidationError
 from .scanning import Candidate, ScanConfig, _check_background
 from .selection import BoundarySet
-from .stats import NoiseModel, log_p_value, log_p_value_batch, z_statistic_batch
+from .stats import NoiseModel, log_p_value, log_p_value_batch, z_statistic, z_statistic_batch
 
 
 @dataclass
@@ -204,8 +204,7 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
         limit = seg.end - 1 if left else seg.start + 1
     else:
         limit = lo if left else hi
-    item = ctx.ps.item
-    background, sigma = ctx.noise.background, ctx.noise.sigma
+    item, noise = ctx.ps.item, ctx.noise
     sides, k_refine = ctx.cfg.sides, ctx.cfg.k_refine
     key = _key(sides)
 
@@ -218,9 +217,7 @@ def move_boundary(ctx: RefineContext, seg: Candidate, op: str, lo: int,
             break
         proposal = edge + sign * step
         start, end = (proposal, cur.end) if left else (cur.start, proposal)
-        n = end - start
-        # segment_stats' operations, in its order: the sum, then z_statistic
-        z = ((item(end) - item(start)) / n - background) * math.sqrt(n) / sigma
+        z = z_statistic(item(end) - item(start), end - start, noise)
         if not key(z) < floor:
             log_p = log_p_value(z, sides)
             if log_p < cur.log_p:
@@ -311,8 +308,6 @@ def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]
     for a, b in zip(segs, segs[1:]):
         if a.end > b.start:
             raise ValidationError(f"segments [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap")
-    if not segs:
-        return segs
     quiet = _quiet(ctx, segs)
     last = len(segs) - 1
     for i in sorted((i for i, q in enumerate(quiet) if not q), key=lambda i: segs[i].sort_key):
@@ -333,8 +328,7 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
     its key reaches the floor of the better member's. Returns the segments
     sorted by start.
     """
-    item = ctx.ps.item
-    background, sigma = ctx.noise.background, ctx.noise.sigma
+    item, noise = ctx.ps.item, ctx.noise
     sides = ctx.cfg.sides
     key = _key(sides)
     merged: list[Candidate] = []
@@ -343,9 +337,7 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
             left = merged[-1]
             better = left if left.log_p <= right.log_p else right
             start, end = left.start, right.end
-            n = end - start
-            # segment_stats' operations, in its order: the sum, then z_statistic
-            z = ((item(end) - item(start)) / n - background) * math.sqrt(n) / sigma
+            z = z_statistic(item(end) - item(start), end - start, noise)
             if key(z) < _floor(key(better.z)):
                 break
             log_p = log_p_value(z, sides)

@@ -331,6 +331,15 @@ class TestBulkParse:
     @example(case=("1\r2\n\n3\n", "plain"))
     @example(case=("# h\r1.5\n2\n", "plain"))
     @example(case=("1\n2", "plain"))
+    # lone CR and CRLF mixed, in either order; a lone CR inside a header line
+    # or a data line of a CRLF file, where a line without digits (".") must
+    # not vanish from the integer read
+    @example(case=("1\r\n2\r3\r\n", "plain"))
+    @example(case=("1\r2\r\n3\n", "plain"))
+    @example(case=("# h\r\n# g\r1\r\n2\r\n", "plain"))
+    @example(case=("1\r\n.\r5\r\n6\r\n", "plain"))
+    @example(case=("1\r\n5\r\r\n\r6\r\n", "plain"))
+    @example(case=("c\t1\t0.5\r\nc\t2\t0.25\rc\t3\t1\r\n", "tsv"))
     # non-ASCII text: in a header line the bulk pass reads past it, in the
     # body it defers (int() and float() read the Arabic-Indic digit as 1)
     @example(case=("# temp\u00e9rature\n0.5\n1.5\n", "plain"))
@@ -453,9 +462,9 @@ class TestBulkParse:
     # it, where numpy 2.4 raises: under an error filter the warning defers,
     # and without one a short read or text after the last value defers. A
     # FF once read two values from one line, which would make up for the
-    # line the read stopped in; a lone CR is a line end of its own. The stub
-    # takes numpy's signature, so it stands in for the integer read and the
-    # float read alike.
+    # line the read stopped in; so would a lone CR inside a line of a CRLF
+    # file, which is not a line end there. The stub takes numpy's signature,
+    # so it stands in for the integer read and the float read alike.
     @pytest.mark.parametrize("action", ["error", "ignore"])
     @pytest.mark.parametrize("text, read", [
         ("1\n2\n3\n", [1.0, 2.0]),
@@ -464,6 +473,7 @@ class TestBulkParse:
         ("1\n2\n3\x1c4", [1.0, 2.0, 3.0]),
         ("1\r2\n3x\n3\n", [1.0, 2.0, 3.0]),
         ("1\x0c2\n3x\n3\n", [1.0, 2.0, 3.0]),
+        ("0\r\n1\r2\r\n3\r4\r\nx\r\n4\r\n", [0.0, 1.0, 2.0, 3.0, 4.0]),
     ])
     def test_partial_read_defers(self, monkeypatch, text, read, action):
         def fromstring(string, dtype=float, count=-1, *, sep, like=None):
@@ -476,11 +486,13 @@ class TestBulkParse:
             warnings.simplefilter(action, DeprecationWarning)
             assert _outcome(parse_profile, text, "plain") == expected
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
     @pytest.mark.parametrize("fmt, text", [
         ("tsv", "c\t10\t0.5\tname\nc\t20\t0.25\n"),
         ("bedgraph", "track x\nc\t0\t50\t0.5\t+\nc\t50\t100\t0.25\t-\t9\n"),
     ])
-    def test_extra_columns_take_the_bulk_pass(self, monkeypatch, fmt, text):
+    def test_extra_columns_take_the_bulk_pass(self, monkeypatch, fmt, text, newline):
+        text = text.replace("\n", newline)
         expected = _parse_lines(text, fmt)
         monkeypatch.setattr(profiles, "_parse_lines", _no_line_loop)
         profile = parse_profile(text, fmt)
