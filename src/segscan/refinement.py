@@ -276,10 +276,12 @@ def _quiet(ctx: RefineContext, segs: list[Candidate]) -> list[bool]:
     end = np.fromiter((seg.end for seg in segs), np.int64, m)
     length = end - start
     # row r of the (4, m) layout is the r-th move of MOVES, column j segment
-    # j: how far the moving edge can go with no neighbor in the way
-    room = np.stack((start, n - end, length - 1, length - 1))
+    # j: how far the moving edge can go with no neighbor in the way, read
+    # from the move's flags as _FIRST_SIGN and _LAST_SIGN are
+    room = np.stack([(start if left else n - end) if outward else length - 1
+                     for left, outward in MOVES.values()])
     count = np.minimum(-(-length // ctx.cfg.k_refine), room).ravel()
-    cell = np.repeat(np.arange(4 * m), count)
+    cell = np.repeat(np.arange(count.size), count)
     move, which = np.divmod(cell, m)
     # 1..count over each (move, segment) run of boundaries
     dist = np.arange(1, cell.size + 1) - np.repeat(np.cumsum(count) - count, count)

@@ -8,11 +8,11 @@ the prefix-sum array, so the scan costs one subtraction per window placement
 instead of one pass per window; the predicted operation counts of the
 brute-force and memoized strategies are available from predicted_op_counts
 for comparison against an instrumented run. The part of the layout that
-depends only on (w_min, w_max, rho), each scale's length, stride and
-sqrt(length), is built once per ScanConfig and cached, since every profile
-of a run scans with one config. Each scan computes only the placement
-counts (from n) and the sum-space bounds (from sigma and the background),
-in one vector pass before the scan, so per scale the scan makes only a few
+depends only on (w_min, w_max, rho), each scale's length and stride, is
+built once per ScanConfig and cached, since every profile of a run scans
+with one config. Each scan computes only the placement counts (from n) and
+the sum-space bounds (from sqrt(length), sigma and the background), in one
+vector pass before the scan, so per scale the scan makes only a few
 numpy calls: the subtraction, the compare(s), a nonzero and, when the
 scale has hits, a gather of their sums. On short profiles those calls, not
 the windows, are most of the scan's cost. The table records how many
@@ -36,7 +36,7 @@ The tail after the per-scale loop holds a fixed set of row-sized arrays,
 about seven at its peak against the table's four, because each one it
 frees is trimmed from the heap and the next profile would fault its pages
 in again. The hits' indexes and sums are joined once, and a per-row scale
-index reads each row's stride and length from the layout's per-scale
+index reads each row's stride and length from the cached per-scale
 arrays. Start, end, z and log p are computed _TAIL_BLOCK rows at a time,
 the first and third in place over the joined indexes and sums, so every
 other temporary is block-sized. The sorted keys become the log_p
@@ -207,38 +207,20 @@ def window_lengths(cfg: ScanConfig) -> list[int]:
     return list(dict.fromkeys(map(math.ceil, _scales(cfg))))
 
 
-class _Layout(NamedTuple):
-    """The part of a scan's layout that does not depend on n or sigma.
-
-    One entry per scale, longest first: the window length, the stride and
-    sqrt(length) as read-only arrays, and ``scales``, (length, stride)
-    pairs as Python ints for the per-scale loop.
-    """
-
-    w: np.ndarray
-    stride: np.ndarray
-    root: np.ndarray
-    scales: tuple[tuple[int, int], ...]
-
-
-def _layout(w: np.ndarray, stride: np.ndarray) -> _Layout:
-    root = np.sqrt(w)
-    for column in (w, stride, root):
-        column.flags.writeable = False
-    return _Layout(w, stride, root, tuple(zip(w.tolist(), stride.tolist())))
-
-
 @lru_cache(maxsize=64)
-def _scale_layout(w_min: int, w_max: int, rho: float) -> _Layout:
-    """The layout of the scales of window_lengths, cached per (w_min, w_max, rho).
+def _scale_layout(w_min: int, w_max: int, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each scale's window length and stride, longest scale first.
 
-    Every profile of a run scans with one ScanConfig, so the lengths, which
-    take a Python loop over the scales (hundreds of ms when rho is near 1),
-    are laid out once per run, not once per profile.
+    Two read-only int64 arrays, cached per (w_min, w_max, rho): every
+    profile of a run scans with one ScanConfig, so the lengths, which take
+    a Python loop over the scales (hundreds of ms when rho is near 1), are
+    laid out once per run, not once per profile.
     """
     lengths = window_lengths(ScanConfig(w_min=w_min, w_max=w_max, rho=rho))
     w = np.array(lengths[::-1], dtype=np.int64)
-    return _layout(w, -(-w // STRIDE_DIVISOR))
+    stride = -(-w // STRIDE_DIVISOR)
+    w.flags.writeable = stride.flags.writeable = False
+    return w, stride
 
 
 # Relative loosening of the sum-space bounds; see scan.
@@ -281,16 +263,15 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
     cfg = cfg.clamped(n)
     if exhaustive:
         w = np.arange(cfg.w_max, cfg.w_min - 1, -1, dtype=np.int64)
-        layout = _layout(w, np.ones_like(w))
+        stride = np.ones_like(w)
     else:
-        layout = _scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
+        w, stride = _scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
     log_ps_max = math.log(cfg.p_s)
     cut = z_cut(log_ps_max, cfg.sides)
     # Every scale's placement and bounds in one vector pass, longest first,
     # so the rows arrive in (length descending, start) order and a sort on
     # log_p that keeps it among ties finishes the table order. Only these
-    # depend on n and sigma; the rest of the layout is cached.
-    w, stride = layout.w, layout.stride
+    # depend on n and sigma; the lengths and strides are cached.
     m = (n - w) // stride + 1
     # plus a right-aligned final window so the profile tail is scanned; it
     # sits at index m, where m * stride > n - w
@@ -305,25 +286,24 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
     # window, also when s / w - background cancels. The exact log p test
     # below still decides membership.
     c = w * noise.background
-    half = cut * noise.sigma * layout.root
+    half = cut * noise.sigma * np.sqrt(w)
     slack = _SUM_SLACK * (np.abs(c) + np.abs(half))
     hi, lo = c + half - slack, c - half + slack
     windows = int(placed.sum())
     if counter is not None:
         counter.add(windows)
-    hits, hit_sums = _scale_hits(ps, layout.scales, m, placed, hi, lo, cfg.sides == "two")
+    hits, hit_sums = _scale_hits(ps, w, stride, m, placed, hi, lo, cfg.sides == "two")
     # the per-scale lists go as soon as they are joined (see the module notes)
     count = [near.size for near in hits]
     start = np.concatenate(hits)
     z = np.concatenate(hit_sums) if hit_sums else np.empty(0)
     del hits, hit_sums
     scale = np.repeat(np.arange(len(count), dtype=np.int64), count)
-    end, log_p = _fill_rows(scale, start, z, layout, n, noise, cfg.sides)
+    end, log_p = _fill_rows(scale, start, z, w, stride, n, noise, cfg.sides)
     order, log_p_sorted = _stable_argsort(log_p)
     # rows that fail the exact test, log p > log p_s, sort after every other
     kept = int(np.searchsorted(log_p_sorted, log_ps_max, side="right"))
-    if kept < order.size:
-        order, log_p_sorted = order[:kept], log_p_sorted[:kept]
+    order, log_p_sorted = order[:kept], log_p_sorted[:kept]
     # Gather into buffers no longer read: the unsorted log p, the scale
     # index, then the unsorted starts. mode="clip" changes nothing for these
     # in-range indexes; the default mode copies out= through a temporary.
@@ -333,8 +313,9 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
     return CandidateTable(starts, ends, z, log_p_sorted, windows)
 
 
-def _scale_hits(ps: np.ndarray, scales, m: np.ndarray, placed: np.ndarray, hi: np.ndarray,
-                lo: np.ndarray, two: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _scale_hits(ps: np.ndarray, w: np.ndarray, stride: np.ndarray, m: np.ndarray,
+                placed: np.ndarray, hi: np.ndarray, lo: np.ndarray,
+                two: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per scale, the indexes of the windows past the bounds and, if any, their sums.
 
     The sums and the two compares of every scale share one n + 1 buffer
@@ -345,8 +326,8 @@ def _scale_hits(ps: np.ndarray, scales, m: np.ndarray, placed: np.ndarray, hi: n
     above_buf = np.empty(n + 1, dtype=bool)
     below_buf = np.empty(n + 1, dtype=bool)
     hits, hit_sums = [], []
-    for (w_i, stride_i), m_i, placed_i, hi_i, lo_i in zip(
-            scales, m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
+    for w_i, stride_i, m_i, placed_i, hi_i, lo_i in zip(
+            w.tolist(), stride.tolist(), m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
         sums = sums_buf[:placed_i]
         np.subtract(ps[w_i::stride_i], ps[:n - w_i + 1:stride_i], out=sums[:m_i])
         if placed_i > m_i:
@@ -365,31 +346,33 @@ def _scale_hits(ps: np.ndarray, scales, m: np.ndarray, placed: np.ndarray, hi: n
 _TAIL_BLOCK = 8192
 
 
-def _fill_rows(scale: np.ndarray, start: np.ndarray, z: np.ndarray, layout: _Layout, n: int,
-               noise: NoiseModel, sides: str) -> tuple[np.ndarray, np.ndarray]:
+def _fill_rows(scale: np.ndarray, start: np.ndarray, z: np.ndarray, w: np.ndarray,
+               stride: np.ndarray, n: int, noise: NoiseModel,
+               sides: str) -> tuple[np.ndarray, np.ndarray]:
     """Each row's start and z in place, and its (end, log p) as new arrays.
 
     On entry ``start`` holds each row's window index within its scale,
-    ``z`` its window sum and ``scale`` its scale's position in ``layout``.
-    The rows go _TAIL_BLOCK at a time, each block reading its strides and
-    lengths from the layout's per-scale arrays into one block-sized
-    buffer, so no temporary grows with the number of rows.
+    ``z`` its window sum and ``scale`` its scale's position in the
+    per-scale arrays ``w`` and ``stride``. The rows go _TAIL_BLOCK at a
+    time, each block reading its strides and lengths from those arrays
+    into one block-sized buffer, so no temporary grows with the number of
+    rows.
     """
     rows = start.size
     end = np.empty(rows, dtype=np.int64)
     log_p = np.empty(rows)
-    last = n - layout.w
+    last = n - w
     ints = np.empty(min(rows, _TAIL_BLOCK), dtype=np.int64)
     for o in range(0, rows, _TAIL_BLOCK):
         at = scale[o:o + _TAIL_BLOCK]
         rows_at = slice(o, o + at.size)
         starts, buf = start[rows_at], ints[:at.size]
         # the right-aligned tail window sits at index m, past n - w
-        starts *= layout.stride.take(at, out=buf, mode="clip")
+        starts *= stride.take(at, out=buf, mode="clip")
         np.minimum(starts, last.take(at, out=buf, mode="clip"), out=starts)
-        w = layout.w.take(at, out=buf, mode="clip")
-        np.add(starts, w, out=end[rows_at])
-        z[rows_at] = z_statistic_batch(z[rows_at], w, noise)
+        lengths = w.take(at, out=buf, mode="clip")
+        np.add(starts, lengths, out=end[rows_at])
+        z[rows_at] = z_statistic_batch(z[rows_at], lengths, noise)
         log_p[rows_at] = log_p_value_batch(z[rows_at], sides)
     return end, log_p
 

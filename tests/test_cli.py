@@ -104,6 +104,12 @@ class TestSegment:
         assert main(["segment", str(bad)]) == 2
         assert f"{bad}: line 3: malformed numeric field 'NA'" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_data_error_naming_the_file(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"# temp\xe9rature\n1.0\n2.0\n")
+        assert main(["segment", str(bad)]) == 2
+        assert f"segscan: error: {bad}: input is not UTF-8 text" in capsys.readouterr().err
+
     def test_position_beyond_int64_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "big.tsv"
         bad.write_text("c\t1\t0.25\nc\t99999999999999999999\t0.5\n")
@@ -273,6 +279,16 @@ class TestSegment:
         assert "Traceback" not in err
 
 
+def test_unexpected_exception_is_internal_error_with_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("unexpected state")
+    monkeypatch.setitem(cli._COMMANDS, "segment", broken)
+    assert main(["segment", "unused.txt"]) == cli.EXIT_INTERNAL == 3
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" in err
+    assert "RuntimeError: unexpected state" in err
+
+
 class TestSimulate:
     def test_writes_suite_and_manifest(self, tmp_path):
         out = tmp_path / "suite"
@@ -331,6 +347,13 @@ class TestEvaluateAndBench:
         truth.write_text("# length=abc\n#profile_id\tstart\tend\tmu\np\t0\t5\t1.0\n")
         assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
         assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err
+
+    def test_evaluate_unknown_length_is_data_error(self, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("#profile_id\tstart\tend\tmu\np\t0\t5\t1.0\n")
+        (tmp_path / "p.segments.tsv").write_text(".\t0\t5\t1.0\t2.0\t0.01\t1\n")
+        assert main(["evaluate", "--truth", str(truth), "--pred-dir", str(tmp_path)]) == 2
+        assert "profile length unknown; pass --length" in capsys.readouterr().err
 
     @pytest.mark.parametrize("length", ["0", "-5"])
     def test_evaluate_nonpositive_length_flag_is_usage_error(self, tmp_path, capsys, length):
@@ -482,3 +505,13 @@ def test_package_resolves_the_oracle_and_simulator_names_on_first_use():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_package_lists_and_resolves_lazy_names(monkeypatch):
+    import segscan.evaluation
+    # names an import or an earlier lookup bound would bypass the package's hooks
+    lazy = {name for names in segscan._LAZY.values() for name in names}
+    for name in lazy | set(segscan._LAZY):
+        monkeypatch.delattr(segscan, name, raising=False)
+    assert lazy <= set(dir(segscan))
+    assert segscan.evaluation is sys.modules["segscan.evaluation"]

@@ -153,6 +153,17 @@ def test_source_must_be_str_or_bytes(read):
         read(io.BytesIO(b"1.0\n"))
 
 
+@pytest.mark.parametrize("fmt, data", [
+    ("plain", b"# caf\xe9\n1.0\n"),
+    ("plain", b"1.0\n2.5\xff\n"),
+    ("tsv", b"# r\xe9gion\nc\t10\t0.5\n"),
+    ("bedgraph", b"chr1\t0\t50\t0.5\nchr\xc5\t50\t100\t0.5\n"),
+], ids=["plain-header", "plain-body", "tsv-header", "bedgraph-body"])
+def test_non_utf8_bytes_are_a_parse_error(fmt, data):
+    with pytest.raises(ProfileParseError, match="input is not UTF-8 text"):
+        parse_profile(data, fmt)
+
+
 class TestByteOrderMark:
     # a UTF-8 byte-order mark, as some editors write it, is not part of line 1
     BOM = codecs.BOM_UTF8
@@ -591,6 +602,15 @@ class TestWriteSegments:
         out = write_segments(_result([_record(0, 2, 0.55, 1.0, 0.3)]), profile, format="bed")
         assert out == b"chr3\t100\t201\t0.55\t1\t0.3\t1\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "bedgraph"])
+    def test_unknown_format_rejected(self, fmt):
+        with pytest.raises(ValidationError, match=f"unknown output format '{fmt}'"):
+            write_segments(_result([]), Profile([0.0]), format=fmt)
+
+    def test_record_past_the_profile_rejected(self):
+        with pytest.raises(ValidationError, match=r"segment \[1, 4\) exceeds profile length"):
+            write_segments(_result([_record(1, 4, 1.0, 2.0, 0.1)]), Profile(np.ones(3)))
+
     def test_deterministic(self):
         records = [_record(0, 4, 1 / 3, 2 / 7, 0.123456789)]
         profile = Profile(np.ones(4) * (1 / 3))
@@ -635,6 +655,13 @@ class TestRoundTrip:
         with pytest.raises(ProfileParseError) as err:
             read_segments(text)
         assert str(err.value) == f"line 3: malformed significant field {flag!r}"
+
+    @pytest.mark.parametrize("p", ["1.5", "-0.25"])
+    def test_p_value_outside_unit_interval_names_its_line(self, p):
+        text = f"#header\nc\t0\t5\t1\t2\t0.5\t1\nc\t5\t9\t1\t2\t{p}\t1\n"
+        with pytest.raises(ProfileParseError) as err:
+            read_segments(text)
+        assert str(err.value) == f"line 3: p_value {float(p)} outside [0, 1]"
 
     def test_tiny_p_clamps_not_zero(self):
         record = SegmentRecord(start=0, end=5, mean=9.0, z=50.0,

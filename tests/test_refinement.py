@@ -83,6 +83,17 @@ def test_gap_search_tie_keeps_longer_segment(op, monkeypatch):
         assert refined.interval == longer, gap_batch_min
 
 
+@pytest.mark.parametrize("gap_batch_min", [ALL_BATCHED, ALL_SCALAR])
+def test_gap_search_tie_with_current_segment_is_no_move(gap_batch_min, monkeypatch):
+    # sigma = 1: [5, 9) sums to 2 over 4 points and [0, 9) to 3 over 9, both
+    # z = 1 exactly; the shorter expansions in between have z below 1
+    ctx = _context(np.array([1.0, 0, 0, 0, 0, 2, 0, 0, 0]))
+    cur = _stat(ctx, 5, 9)
+    assert _stat(ctx, 0, 9).log_p == cur.log_p
+    monkeypatch.setattr(refinement, "GAP_BATCH_MIN", gap_batch_min)
+    assert refinement._search_gap(ctx, cur, 0, 5, left=True) is None
+
+
 class TestExpandLeft:
     def test_recovers_planted_boundary(self):
         ctx = _context(_block_profile(40, 10, 30, 3.0))
@@ -259,6 +270,17 @@ class TestMerge:
         ctx = _context(values)
         out = merge_adjacent(ctx, [_stat(ctx, s, e) for s, e in pieces])
         assert [seg.interval for seg in out] == [(50, 130)]
+
+    def test_span_that_only_ties_the_better_member_is_not_merged(self):
+        # sigma = 1: [0, 4) sums to 2 over 4 points and the span [0, 9) to 3
+        # over 9, both z = 1 exactly; [4, 9) is weaker
+        trace = []
+        ctx = _context(np.array([2.0, 0, 0, 0, 1, 0, 0, 0, 0]), trace=trace)
+        left, right = _stat(ctx, 0, 4), _stat(ctx, 4, 9)
+        assert _stat(ctx, 0, 9).log_p == left.log_p < right.log_p
+        out = merge_adjacent(ctx, [left, right])
+        assert [seg.interval for seg in out] == [(0, 4), (4, 9)]
+        assert trace == []
 
     def test_merge_retests_left_neighbor(self):
         # [34, 40) does not merge with [42, 44), but it does with the span

@@ -25,6 +25,7 @@ class TestScanConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(w_min=0), dict(w_max=0), dict(rho=1.0), dict(p_s=0.0),
         dict(p_s=1.5), dict(alpha=0.0), dict(k_refine=1), dict(sides="both"),
+        dict(background=math.inf), dict(background=math.nan),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValidationError):
@@ -578,21 +579,19 @@ class TestScaleLayout:
     def test_cached_layout_matches_formulas(self, w_min, span, rho, n):
         assume(n >= w_min)
         cfg = ScanConfig(w_min=w_min, w_max=w_min + span, rho=rho).clamped(n)
-        layout = scanning._scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
+        w, stride = scanning._scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
         lengths = window_lengths(cfg)[::-1]
-        strides = [math.ceil(w / 5) for w in lengths]
-        assert layout.w.tolist() == lengths
-        assert layout.stride.tolist() == strides
-        assert layout.root.tolist() == list(map(math.sqrt, lengths))
-        assert layout.scales == tuple(zip(lengths, strides))
+        strides = [math.ceil(length / 5) for length in lengths]
+        assert w.dtype == stride.dtype == np.int64
+        assert w.tolist() == lengths
+        assert stride.tolist() == strides
         profile = Profile(np.random.default_rng(n).normal(size=n))
         table = scan(profile, build_prefix_sums(profile), NoiseModel(1.0), cfg)
-        assert table.windows == sum((n - w) // stride + 1 + ((n - w) % stride > 0)
-                                    for w, stride in zip(lengths, strides))
+        assert table.windows == sum((n - length) // step + 1 + ((n - length) % step > 0)
+                                    for length, step in zip(lengths, strides))
 
     def test_cached_arrays_are_read_only(self):
-        layout = scanning._scale_layout(1, 300, 1.1)
-        for column in (layout.w, layout.stride, layout.root):
+        for column in scanning._scale_layout(1, 300, 1.1):
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = 7

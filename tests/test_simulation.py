@@ -38,6 +38,15 @@ class TestSimulate:
             SimSpec(length=100, planted=(PlantedSegment(10, 30, 1.0),
                                          PlantedSegment(25, 40, 0.5)))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(length=0), "length must be >= 1"),
+        (dict(length=100, snr=0.0), "snr must be positive"),
+        (dict(length=100, snr=np.inf), "snr must be positive"),
+    ])
+    def test_invalid_spec_rejected(self, kwargs, message):
+        with pytest.raises(ValidationError, match=message):
+            SimSpec(**kwargs)
+
     def test_out_of_range_planted_rejected(self):
         with pytest.raises(ValidationError):
             SimSpec(length=100, planted=(PlantedSegment(90, 120, 1.0),))
@@ -111,6 +120,14 @@ class TestManifest:
     def test_malformed_length_header_names_the_line(self):
         with pytest.raises(ProfileParseError, match="line 2: malformed length header"):
             read_truth_manifest(b"#profile_id\tstart\tend\tmu\n# length=abc\n")
+
+    def test_row_without_four_columns_names_the_line(self):
+        with pytest.raises(ProfileParseError, match="line 2: expected 4 columns"):
+            read_truth_manifest(b"# length=10\np\t1\t2\n")
+
+    def test_blank_lines_are_skipped(self):
+        data = b"\n# length=10\n  \np\t1\t2\t0.5\n\n"
+        assert read_truth_manifest(data) == ({"p": [PlantedSegment(1, 2, 0.5)]}, 10)
 
     def test_byte_order_mark_is_not_part_of_the_header(self):
         truth = {"p": [PlantedSegment(1, 2, 0.5)]}

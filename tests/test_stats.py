@@ -108,6 +108,11 @@ class TestSigmaMad:
         with pytest.raises(ValidationError):
             NoiseModel(sigma=0.0)
 
+    @pytest.mark.parametrize("background", [math.inf, -math.inf, math.nan])
+    def test_nonfinite_background_rejected(self, background):
+        with pytest.raises(ValidationError, match="background level must be finite"):
+            NoiseModel(1.0, background=background)
+
     @staticmethod
     def _assert_matches_np_median(values):
         values = np.array(values, dtype=np.float64)
