@@ -7,9 +7,9 @@ Subcommands: segment, simulate, evaluate, bench. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import logging
 import os
+import pickle
 import sys
 import tempfile
 import time
@@ -167,6 +167,113 @@ def _segment_one(path_str: str, fmt: str, cfg: ScanConfig, sigma: float | None,
         return exc
 
 
+def _claim_tokens(n: int) -> tuple[int, bytes]:
+    """``(run, tokens)``: the claim pipe's contents for ``n`` inputs.
+
+    Each 4-byte token is the first index of a run of ``run`` consecutive
+    inputs: one input per token up to ``PIPE_BUF / 4`` inputs, and beyond
+    that runs just long enough for the tokens to fit in ``PIPE_BUF`` bytes,
+    so that one write fills the pipe atomically and without blocking.
+    """
+    import select
+
+    run = -(-n // (select.PIPE_BUF // 4))
+    return run, b"".join(i.to_bytes(4, "little") for i in range(0, n, run))
+
+
+def _run_claims(claims: int, run: int, work: list) -> list:
+    """``(index, outcome)`` of each input claimed from the pipe ``claims``
+    until it is empty.
+
+    The pipe holds whole tokens and has no writer left, so every read
+    returns one whole token until EOF.
+    """
+    done = []
+    while token := os.read(claims, 4):
+        first = int.from_bytes(token, "little")
+        for i in range(first, min(first + run, len(work))):
+            done.append((i, _segment_one(*work[i])))
+    return done
+
+
+def _child(claims: int, results: int, run: int, work: list) -> None:
+    """A forked worker: pickle its claims' outcomes, or the traceback that
+    stopped it, into ``results``, and exit. Never returns, so a child
+    cannot run on into the caller's code."""
+    code = 1
+    try:
+        try:
+            payload, status = _run_claims(claims, run, work), 0
+        except BaseException:
+            payload, status = traceback.format_exc(), 1
+        with open(results, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        sys.stderr.flush()
+        code = status
+    finally:
+        os._exit(code)
+
+
+def _segment_forked(work: list, workers: int) -> list:
+    """The outcomes of ``work`` in input order, from this process and
+    ``workers - 1`` forked children.
+
+    Every process claims inputs from one pipe until it is empty, so a
+    process that is slow for any reason takes fewer of them. The children
+    are reaped on every path, and killed first if this process fails.
+    They are forked, not spawned, because a fresh interpreter would pay
+    again the numpy and package import (~0.1 s) this process has paid.
+    """
+    run, tokens = _claim_tokens(len(work))
+    claims, writer = os.pipe()
+    os.write(writer, tokens)
+    os.close(writer)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = {}  # pid -> the read end of its result pipe
+    outcomes = {}
+    try:
+        for _ in range(workers - 1):
+            results, writer = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(claims, writer, run, work)
+            except OSError:
+                os.close(results)
+                raise
+            finally:
+                os.close(writer)
+            children[pid] = open(results, "rb")
+        outcomes.update(_run_claims(claims, run, work))
+        exits = []
+        for pid, pipe in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code == 0:
+                outcomes.update(pickle.loads(data))
+            elif code == 1 and data:
+                raise RuntimeError(f"worker process {pid} failed:\n{pickle.loads(data)}")
+            else:
+                exits.append(f"worker process {pid} exited with status {code}")
+        missing = [item[0] for i, item in enumerate(work) if i not in outcomes]
+        if missing:
+            raise RuntimeError(f"no outcome for {', '.join(missing)}: {'; '.join(exits)}")
+    except BaseException:
+        from signal import SIGKILL
+
+        for pid, pipe in children.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        os.close(claims)
+    return [outcomes[i] for i in range(len(work))]
+
+
 def _cmd_segment(args) -> int:
     cfg = _config_from(args)
     inputs = [Path(p) for p in args.inputs]
@@ -186,13 +293,12 @@ def _cmd_segment(args) -> int:
                       f"both be written to {target.name}", file=sys.stderr)
                 return EXIT_USAGE
             written_from[target] = path
-        Path(args.output).mkdir(parents=True, exist_ok=True)
+        with _naming(args.output):
+            Path(args.output).mkdir(parents=True, exist_ok=True)
     work = [(str(p), args.format, cfg, args.sigma, args.out_format) for p in inputs]
     workers = min(args.jobs, len(inputs))
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_segment_one, *item) for item in work]
-            outcomes = [future.result() for future in futures]
+    if workers > 1 and hasattr(os, "fork"):
+        outcomes = _segment_forked(work, workers)
     else:
         outcomes = [_segment_one(*item) for item in work]
     # one bad profile, or one failed write, must not hide the other tables

@@ -1,8 +1,9 @@
-import concurrent.futures
 import os
+import select
+import signal
 import subprocess
 import sys
-from concurrent.futures import Future
+import time
 from pathlib import Path
 
 import numpy as np
@@ -200,29 +201,18 @@ class TestSegment:
                 (tmp_path / "alone.tsv").read_bytes()
 
     def test_workers_limited_to_inputs(self, tmp_path, monkeypatch):
-        sizes = []
+        forks = []
+        real_fork = os.fork
 
-        class InlinePool:
-            # records the pool size and runs each task in this process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         paths = [str(_write_profile(tmp_path / f"p{i}.txt", seed=20 + i)) for i in range(2)]
         out_dir = tmp_path / "out"
         assert main(["segment", *paths, "--output", str(out_dir), "--jobs", "64"]) == 0
-        assert sizes == [2]
+        assert len(forks) == 1
         assert (out_dir / "p0.segments.tsv").exists() and (out_dir / "p1.segments.tsv").exists()
 
     def test_jobs_do_not_change_output(self, tmp_path):
@@ -261,13 +251,20 @@ class TestSegment:
         assert (tmp_path / "out" / "p.segments.tsv").read_bytes() == stdout
 
     def test_one_input_starts_no_pool(self, tmp_path, monkeypatch, capsys):
-        def no_pool(max_workers):
-            raise AssertionError(f"a pool of {max_workers} started for one input")
+        def no_fork():
+            raise AssertionError("a worker was forked for one input")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         path = _write_profile(tmp_path / "p.txt", seed=33)
         assert main(["segment", str(path), "--jobs", "4"]) == 0
         assert capsys.readouterr().out.startswith("#label")
+
+    def test_output_naming_a_file_names_the_output(self, tmp_path, capsys):
+        paths = [str(_write_profile(tmp_path / f"p{i}.txt", seed=40 + i)) for i in range(2)]
+        out = tmp_path / "F"
+        out.write_text("")
+        assert main(["segment", *paths, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"segscan: error: {out}: File exists\n"
 
     @pytest.mark.parametrize("flag, value, field", [("--rho", "inf", "rho"),
                                                     ("--pb", "nan", "p_b")])
@@ -287,6 +284,118 @@ def test_unexpected_exception_is_internal_error_with_traceback(monkeypatch, caps
     err = capsys.readouterr().err
     assert "Traceback (most recent call last)" in err
     assert "RuntimeError: unexpected state" in err
+
+
+class TestForkedWorkers:
+    """``--jobs`` over several inputs: this process and forked children
+    claim inputs from one pipe."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025, 5000])
+    def test_every_input_claimed_once(self, monkeypatch, n):
+        run, tokens = cli._claim_tokens(n)
+        assert len(tokens) % 4 == 0 and len(tokens) <= select.PIPE_BUF
+        monkeypatch.setattr(cli, "_segment_one", lambda label: label)
+        claims, writer = os.pipe()
+        os.write(writer, tokens)
+        os.close(writer)
+        try:
+            done = cli._run_claims(claims, run, [(f"in{i}",) for i in range(n)])
+        finally:
+            os.close(claims)
+        assert done == [(i, f"in{i}") for i in range(n)]
+
+    def test_without_fork_inputs_run_in_process(self, tmp_path, monkeypatch):
+        paths = [str(_write_profile(tmp_path / f"p{i}.txt", seed=50 + i)) for i in range(2)]
+        assert main(["segment", *paths, "--output", str(tmp_path / "forked"),
+                     "--jobs", "2"]) == 0
+        monkeypatch.delattr(os, "fork")
+        assert main(["segment", *paths, "--output", str(tmp_path / "serial"),
+                     "--jobs", "2"]) == 0
+        for i in range(2):
+            name = f"p{i}.segments.tsv"
+            assert (tmp_path / "forked" / name).read_bytes() == \
+                (tmp_path / "serial" / name).read_bytes()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _split(tmp_path, monkeypatch, in_child, in_parent=lambda: None):
+        """Two inputs at --jobs 2, the second run by the one child.
+
+        The parent holds its first input until the child has started the
+        other one, then calls ``in_parent``; the child calls ``in_child``.
+        Returns the inputs and main's exit code.
+        """
+        paths = [str(_write_profile(tmp_path / f"p{i}.txt", seed=60 + i)) for i in range(2)]
+        parent = os.getpid()
+        started, starting = os.pipe()
+        real = cli._segment_one
+
+        def segment_one(*item):
+            if os.getpid() != parent:
+                os.write(starting, b"!")
+                in_child()
+            else:
+                assert select.select([started], [], [], 30)[0], "the child never started"
+                in_parent()
+            return real(*item)
+
+        monkeypatch.setattr(cli, "_segment_one", segment_one)
+        try:
+            code = main(["segment", *paths, "--output", str(tmp_path / "out"), "--jobs", "2"])
+        finally:
+            os.close(started)
+            os.close(starting)
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        return paths, code
+
+    def test_split_runs_both_processes(self, tmp_path, monkeypatch, capsys):
+        _, code = self._split(tmp_path, monkeypatch, in_child=lambda: None)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == \
+            ["p0.segments.tsv", "p1.segments.tsv"]
+
+    def test_exception_in_child_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        def in_child():
+            raise RuntimeError("child share failed")
+
+        _, code = self._split(tmp_path, monkeypatch, in_child)
+        assert code == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback (most recent call last)" in err
+        assert "RuntimeError: child share failed" in err
+
+    def test_dead_child_names_inputs_without_outcome(self, tmp_path, monkeypatch, capsys):
+        def in_child():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        paths, code = self._split(tmp_path, monkeypatch, in_child)
+        assert code == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert f"no outcome for {paths[1]}: " in err
+        assert f"exited with status {-signal.SIGKILL}" in err
+        assert paths[0] not in err
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_exception_in_parent_kills_children(self, tmp_path, monkeypatch, capsys, error):
+        def in_parent():
+            raise error("parent share failed")
+
+        # a child that is never killed holds main for a minute
+        def in_child():
+            time.sleep(60)
+
+        t0 = time.perf_counter()
+        if error is KeyboardInterrupt:
+            with pytest.raises(KeyboardInterrupt):
+                self._split(tmp_path, monkeypatch, in_child, in_parent)
+        else:
+            _, code = self._split(tmp_path, monkeypatch, in_child, in_parent)
+            assert code == cli.EXIT_INTERNAL
+            assert "RuntimeError: parent share failed" in capsys.readouterr().err
+        assert time.perf_counter() - t0 < 30
 
 
 class TestSimulate:
@@ -475,13 +584,15 @@ class TestEvaluateAndBench:
         assert f"{truth}: line 1: malformed length header" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("package", ["scipy", "concurrent.futures.process",
-                                     "segscan.evaluation", "segscan.simulation", "statistics"])
+@pytest.mark.parametrize("package", ["scipy", "concurrent.futures.process", "concurrent.futures",
+                                     "multiprocessing", "segscan.evaluation",
+                                     "segscan.simulation", "statistics"])
 def test_cli_import_does_not_load(package):
-    # scipy.special once took most of every CLI process's start-up, and the
-    # process pool machinery (~15 ms) serves only --jobs with several inputs;
-    # the oracles, the simulator and statistics serve only the other
-    # subcommands. Importing the CLI may bring in none of them
+    # scipy.special once took most of every CLI process's start-up, and a
+    # process pool's machinery (~12 ms) would slow every run to serve only
+    # --jobs, which forks workers itself; the oracles, the simulator and
+    # statistics serve only the other subcommands. Importing the CLI may
+    # bring in none of them
     code = ("import sys, segscan.cli; "
             f"print([m for m in sys.modules if (m + '.').startswith({package + '.'!r})])")
     env = dict(os.environ, PYTHONPATH=str(Path(segscan.__file__).parents[1]))
