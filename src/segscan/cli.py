@@ -135,7 +135,7 @@ def _emit(data: bytes, output) -> None:
         try:
             umask = os.umask(0)
             os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
+            os.chmod(tmp, 0o666 & ~umask)
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
             os.replace(tmp, path)
@@ -319,15 +319,20 @@ def _cmd_simulate(args) -> int:
     from .simulation import benchmark_suite, write_profile_plain, write_truth_manifest
 
     out_dir = Path(args.outdir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _naming(out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     suite = benchmark_suite(args.kind, snr=args.snr, seed=args.seed)
     truth = {}
     length = None
     for profile, planted in suite:
-        write_profile_plain(profile, out_dir / f"{profile.label}.txt")
+        path = out_dir / f"{profile.label}.txt"
+        with _naming(path):
+            write_profile_plain(profile, path)
         truth[profile.label] = planted
         length = len(profile)
-    (out_dir / "truth.tsv").write_bytes(write_truth_manifest(truth, length=length))
+    truth_path = out_dir / "truth.tsv"
+    with _naming(truth_path):
+        truth_path.write_bytes(write_truth_manifest(truth, length=length))
     return EXIT_OK
 
 

@@ -228,7 +228,7 @@ _SUM_SLACK = 1e-9
 
 
 def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
-         exhaustive: bool = False, counter: OpCounter | None = None) -> CandidateTable:
+         counter: OpCounter | None = None) -> CandidateTable:
     """Enumerate candidate segments with p <= p_s across all window scales.
 
     Parameters
@@ -243,10 +243,6 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
         must equal ``cfg.background``.
     cfg : ScanConfig
         Window range, growth factor, retention threshold, sidedness.
-    exhaustive : bool
-        When True, scan every length in [w_min, w_max] at stride 1. This
-        is the dense grid used by the oracle-equivalence tests, not the
-        production mode.
     counter : OpCounter, optional
         Incremented by one per window sum, for cost verification.
 
@@ -261,11 +257,7 @@ def scan(profile, ps: np.ndarray, noise: NoiseModel, cfg: ScanConfig, *,
     _check_background(noise, cfg)
     n = ps.size - 1
     cfg = cfg.clamped(n)
-    if exhaustive:
-        w = np.arange(cfg.w_max, cfg.w_min - 1, -1, dtype=np.int64)
-        stride = np.ones_like(w)
-    else:
-        w, stride = _scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
+    w, stride = _scale_layout(cfg.w_min, cfg.w_max, cfg.rho)
     log_ps_max = math.log(cfg.p_s)
     cut = z_cut(log_ps_max, cfg.sides)
     # Every scale's placement and bounds in one vector pass, longest first,

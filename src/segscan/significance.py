@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ValidationError
 from .profiles import Profile, SegmentRecord
 from .scanning import Candidate, ScanConfig, _check_background
 from .stats import TINY_P, NoiseModel, log_p_value_batch, z_statistic_batch
@@ -35,18 +36,17 @@ class SegmentationResult:
         return [r for r in self.records if r.significant]
 
 
-def bh_select_log(log_p: np.ndarray, alpha: float,
-                  m_total: int | None = None) -> tuple[float, np.ndarray]:
+def bh_select_log(log_p: np.ndarray, alpha: float, m_total: int) -> tuple[float, np.ndarray]:
     """Benjamini-Hochberg on natural-log p-values.
 
-    ``m_total`` is the size of the hypothesis family when the supplied
-    p-values are only the survivors of a pre-filter; the BH denominator
-    uses max(m_total, len(log_p)). Returns (log threshold, rejection mask
-    in input order); the threshold is the largest retained log p, or -inf
-    when nothing is rejected.
+    ``m_total`` is the size of the hypothesis family, larger than
+    len(log_p) when the p-values are the survivors of a pre-filter; the BH
+    denominator uses max(m_total, len(log_p)). Returns (log threshold,
+    rejection mask in input order); the threshold is the largest retained
+    log p, or -inf when nothing is rejected.
     """
     log_p = np.asarray(log_p, dtype=np.float64)
-    m = max(int(m_total or 0), log_p.size)
+    m = max(int(m_total), log_p.size)
     order = np.argsort(log_p, kind="stable")
     ranked = log_p[order]
     with np.errstate(divide="ignore"):
@@ -59,30 +59,32 @@ def bh_select_log(log_p: np.ndarray, alpha: float,
 
 
 def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
-             noise: NoiseModel, ps: np.ndarray,
-             m_total: int | None = None) -> SegmentationResult:
+             noise: NoiseModel, ps: np.ndarray, m_total: int) -> SegmentationResult:
     """Recompute statistics, then call segments by BH at cfg.alpha and the cutoff.
 
-    Statistics are recomputed from the prefix sums ``ps`` under ``noise``
-    rather than trusted from the refinement caches, in one pass of the
-    batch kernels, which give segment_stats' values bit for bit.
-    ``profile`` is not read; it stays so that positional callers work.
-    ``m_total`` should be the number of candidates the scan retained (the
-    hypothesis family the segments were drawn from); the pipeline supplies
-    it. When omitted, the family is just the final segments, which is a
-    weaker correction. ``bh_threshold`` comes from BH alone, before the
-    cutoff: 0 when nothing is rejected and otherwise at least TINY_P, like
-    SegmentRecord.p_value.
+    ``refined`` is disjoint and in start order, as merge_adjacent returns
+    it; ValidationError names the first pair that is not. Statistics are
+    recomputed from the prefix sums ``ps`` under ``noise`` rather than
+    trusted from the refinement caches, in one pass of the batch kernels,
+    which give segment_stats' values bit for bit. ``profile`` is not read;
+    it stays so that positional callers work. ``m_total`` is the size of
+    the hypothesis family the segments were drawn from: in the pipeline,
+    the number of candidates the scan retained. ``bh_threshold`` comes
+    from BH alone, before the cutoff: 0 when nothing is rejected and
+    otherwise at least TINY_P, like SegmentRecord.p_value.
     """
     _check_background(noise, cfg)
-    segments = sorted(refined, key=lambda c: c.start)
-    start = np.fromiter((seg.start for seg in segments), np.int64, len(segments))
-    end = np.fromiter((seg.end for seg in segments), np.int64, len(segments))
+    start = np.fromiter((seg.start for seg in refined), np.int64, len(refined))
+    end = np.fromiter((seg.end for seg in refined), np.int64, len(refined))
+    if (bad := np.flatnonzero(end[:-1] > start[1:])).size:
+        i = int(bad[0])
+        raise ValidationError(f"segments overlap or are out of start order: [{start[i]}, "
+                              f"{end[i]}) before [{start[i + 1]}, {end[i + 1]})")
     sums = ps[end] - ps[start]
     mean = sums / (end - start)
     z = z_statistic_batch(sums, end - start, noise)
     log_ps = log_p_value_batch(z, cfg.sides)
-    log_threshold, called = bh_select_log(log_ps, cfg.alpha, m_total=m_total)
+    log_threshold, called = bh_select_log(log_ps, cfg.alpha, m_total)
     threshold = max(math.exp(log_threshold), TINY_P) if called.any() else 0.0
     if cfg.p_b is not None:
         called &= np.abs(mean - noise.background) >= cfg.p_b

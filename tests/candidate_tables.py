@@ -1,8 +1,11 @@
-"""Build a CandidateTable from hand-made Candidate objects, for tests."""
+"""Candidate tables for tests: from hand-made Candidate objects, or from a
+stride-1 scan of every window length."""
+
+from unittest import mock
 
 import numpy as np
 
-from segscan import CandidateTable
+from segscan import CandidateTable, scanning
 
 
 def table_from_candidates(candidates) -> CandidateTable:
@@ -15,3 +18,18 @@ def table_from_candidates(candidates) -> CandidateTable:
     order = np.lexsort((start, start - end, log_p))
     return CandidateTable(start[order], end[order],
                           np.array([c.z for c in cands], dtype=np.float64)[order], log_p[order])
+
+
+def _stride_one_layout(w_min, w_max, rho):
+    w = np.arange(w_max, w_min - 1, -1, dtype=np.int64)
+    return w, np.ones_like(w)
+
+
+def exhaustive_scan(profile, ps, noise, cfg, **kwargs) -> CandidateTable:
+    """scanning.scan over every length in [w_min, w_max] at stride 1.
+
+    The production scan runs unchanged on the dense grid the brute-force
+    oracle tests; only its scale layout is swapped, for this call alone.
+    """
+    with mock.patch.object(scanning, "_scale_layout", _stride_one_layout):
+        return scanning.scan(profile, ps, noise, cfg, **kwargs)

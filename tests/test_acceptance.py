@@ -21,7 +21,7 @@ from segscan import (Candidate, NoiseModel, Profile, ScanConfig,
 from segscan.cli import main
 from segscan.stats import OpCounter, log_p_value_batch, segment_stats
 
-from candidate_tables import table_from_candidates
+from candidate_tables import exhaustive_scan, table_from_candidates
 
 
 def _passed(criterion, detail=""):
@@ -106,7 +106,7 @@ def test_c03_oracle_equivalence():
         noise = NoiseModel(1.0)
         cfg = ScanConfig()
         pipeline = select_nonoverlapping(
-            scan(profile, build_prefix_sums(profile), noise, cfg, exhaustive=True))
+            exhaustive_scan(profile, build_prefix_sums(profile), noise, cfg))
         oracle = brute_force_segment(profile, noise, max_n=200, cfg=cfg)
         assert [c.interval for c in pipeline] == [c.interval for c in oracle], f"trial {trial}"
     elapsed = time.perf_counter() - started
@@ -214,7 +214,7 @@ def test_c07_single_point_detection():
 
 def test_c08_bh_correctness():
     """bh_select_log matches the quadratic reference on 1000 instances plus the worked example."""
-    threshold, mask = bh_select_log(np.log([0.001, 0.02, 0.04]), alpha=0.05)
+    threshold, mask = bh_select_log(np.log([0.001, 0.02, 0.04]), alpha=0.05, m_total=3)
     assert mask.tolist() == [True, True, True]
     assert math.exp(threshold) == pytest.approx(0.04)
 
@@ -223,7 +223,7 @@ def test_c08_bh_correctness():
         m = int(rng.integers(1, 50))
         p = (rng.uniform(size=m) ** rng.integers(1, 4)).tolist()
         alpha = float(rng.uniform(0.005, 0.25))
-        _, mask = bh_select_log(np.log(p), alpha)
+        _, mask = bh_select_log(np.log(p), alpha, m_total=m)
         order = sorted(range(m), key=lambda i: p[i])
         k = 0
         for rank in range(1, m + 1):

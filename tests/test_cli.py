@@ -399,6 +399,12 @@ class TestForkedWorkers:
 
 
 class TestSimulate:
+    def test_outdir_naming_a_file_names_the_outdir(self, tmp_path, capsys):
+        out = tmp_path / "F"
+        out.write_text("")
+        assert main(["simulate", "--outdir", str(out)]) == 2
+        assert capsys.readouterr().err == f"segscan: error: {out}: File exists\n"
+
     def test_writes_suite_and_manifest(self, tmp_path):
         out = tmp_path / "suite"
         assert main(["simulate", "--kind", "short", "--snr", "1.0",
@@ -516,9 +522,13 @@ class TestEvaluateAndBench:
         assert f"{truth}: line 3: invalid planted interval [7, 5)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("umask", [0o022, 0o027], ids=["022", "027"])
-    def test_outputs_get_the_umask_mode(self, tmp_path, umask):
+    @pytest.mark.parametrize("fchmod", [True, False], ids=["fchmod", "no-fchmod"])
+    def test_outputs_get_the_umask_mode(self, tmp_path, monkeypatch, umask, fchmod):
         # a plain open would create 0o666 less the umask; a temporary file
-        # renamed into place must not leave its own 0o600 behind
+        # renamed into place must not leave its own 0o600 behind. Windows
+        # has no os.fchmod before Python 3.13, and the writes must not need it
+        if not fchmod:
+            monkeypatch.delattr(os, "fchmod", raising=False)
         suite = tmp_path / "suite"
         suite.mkdir()
         _write_profile(suite / "profile_00.txt", length=300)

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from segscan import (Candidate, NoiseModel, PlantedSegment, Profile, ScanConfig,
                      ValidationError, brute_force_segment, build_prefix_sums,
                      enumerate_candidates_dense, greedy_disjoint, positions_mask,
-                     scan, score, select_nonoverlapping)
+                     score, select_nonoverlapping)
 
-from candidate_tables import table_from_candidates
+from candidate_tables import exhaustive_scan, table_from_candidates
 
 
 class TestPositionsMask:
@@ -125,7 +125,7 @@ class TestBruteForce:
         noise = NoiseModel(1.0)
         cfg = ScanConfig()
         pipeline = select_nonoverlapping(
-            scan(profile, build_prefix_sums(profile), noise, cfg, exhaustive=True))
+            exhaustive_scan(profile, build_prefix_sums(profile), noise, cfg))
         oracle = brute_force_segment(profile, noise, cfg=cfg)
         assert [c.interval for c in pipeline] == [c.interval for c in oracle]
 
@@ -157,6 +157,6 @@ def test_exhaustive_scan_and_select_match_oracle(seed, n, w_min, w_span, sides, 
                      sides=sides)
     noise = NoiseModel(1.0, background)
     pipeline = select_nonoverlapping(
-        scan(profile, build_prefix_sums(profile), noise, cfg, exhaustive=True))
+        exhaustive_scan(profile, build_prefix_sums(profile), noise, cfg))
     oracle = brute_force_segment(profile, noise, cfg=cfg)
     assert [c.interval for c in pipeline] == [c.interval for c in oracle]

@@ -14,6 +14,8 @@ from segscan import (Candidate, CandidateTable, NoiseModel, Profile, RefineConte
 from segscan import scanning
 from segscan.stats import OpCounter, log_p_value_batch, z_cut
 
+from candidate_tables import exhaustive_scan
+
 
 class TestScanConfig:
     def test_defaults_match_documented_values(self):
@@ -173,8 +175,8 @@ class TestScan:
 
     def test_exhaustive_mode_covers_every_placement(self):
         profile, noise = _flat_profile(40)
-        cands = scan(profile, build_prefix_sums(profile), noise,
-                     ScanConfig(w_min=1, w_max=40, p_s=1.0), exhaustive=True)
+        cands = exhaustive_scan(profile, build_prefix_sums(profile), noise,
+                                ScanConfig(w_min=1, w_max=40, p_s=1.0))
         assert len(cands) == sum(40 - w + 1 for w in range(1, 41))
 
     def test_one_sided_keeps_only_positive(self):
@@ -192,7 +194,8 @@ class TestScan:
 _STAGES = {
     "scan": lambda profile, ps, noise, cfg: scan(profile, ps, noise, cfg),
     "RefineContext": lambda profile, ps, noise, cfg: RefineContext(ps=ps, noise=noise, cfg=cfg),
-    "finalize": lambda profile, ps, noise, cfg: finalize(profile, [], cfg, noise=noise, ps=ps),
+    "finalize": lambda profile, ps, noise, cfg: finalize(profile, [], cfg, noise=noise, ps=ps,
+                                                         m_total=0),
     "enumerate_candidates_dense":
         lambda profile, ps, noise, cfg: enumerate_candidates_dense(profile, noise, cfg),
 }
@@ -237,7 +240,8 @@ def _assert_matches_reference(values, noise, cfg, exhaustive=False):
     cfg = replace(cfg, background=noise.background)
     values = np.array(values, dtype=np.float64)
     profile = Profile(values)
-    table = scan(profile, build_prefix_sums(profile), noise, cfg, exhaustive=exhaustive)
+    run = exhaustive_scan if exhaustive else scan
+    table = run(profile, build_prefix_sums(profile), noise, cfg)
     expected = _unfiltered_scan(values, noise, cfg, exhaustive)
     for column, want in zip(("start", "end", "z", "log_p"), expected):
         got = getattr(table, column)
@@ -557,8 +561,8 @@ class TestPredictedOpCounts:
     def test_exhaustive_counter_counts_every_placement(self):
         profile = Profile(np.random.default_rng(2).normal(size=90))
         counter = OpCounter()
-        table = scan(profile, build_prefix_sums(profile), NoiseModel(1.0),
-                     ScanConfig(w_min=2, w_max=30), exhaustive=True, counter=counter)
+        table = exhaustive_scan(profile, build_prefix_sums(profile), NoiseModel(1.0),
+                                ScanConfig(w_min=2, w_max=30), counter=counter)
         assert counter.count == table.windows == sum(90 - w + 1 for w in range(2, 31))
 
 

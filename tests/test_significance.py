@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def _bh_oracle(p_values, alpha, m_total=None):
     return threshold, mask
 
 
-def bh_select(p_values, alpha, m_total=None):
+def bh_select(p_values, alpha, m_total):
     # BH on plain p-values through the log-space procedure
     with np.errstate(divide="ignore"):
         log_threshold, mask = bh_select_log(np.log(p_values), alpha, m_total=m_total)
@@ -33,17 +34,17 @@ def bh_select(p_values, alpha, m_total=None):
 
 class TestBhSelect:
     def test_hand_worked_example(self):
-        threshold, mask = bh_select([0.001, 0.02, 0.04], alpha=0.05)
+        threshold, mask = bh_select([0.001, 0.02, 0.04], alpha=0.05, m_total=3)
         assert mask.tolist() == [True, True, True]
         assert threshold == pytest.approx(0.04)
 
     def test_none_rejected(self):
-        threshold, mask = bh_select([0.5, 0.9], alpha=0.01)
+        threshold, mask = bh_select([0.5, 0.9], alpha=0.01, m_total=2)
         assert mask.tolist() == [False, False]
         assert threshold == 0.0
 
     def test_empty(self):
-        threshold, mask = bh_select([], alpha=0.05)
+        threshold, mask = bh_select([], alpha=0.05, m_total=0)
         assert threshold == 0.0
         assert mask.size == 0
 
@@ -53,7 +54,7 @@ class TestBhSelect:
             m = int(rng.integers(1, 60))
             p = np.round(rng.uniform(size=m) ** 2, 6)
             alpha = float(rng.uniform(0.005, 0.2))
-            threshold, mask = bh_select(p, alpha)
+            threshold, mask = bh_select(p, alpha, m_total=m)
             oracle_threshold, oracle_mask = _bh_oracle(p.tolist(), alpha)
             assert mask.tolist() == oracle_mask
             assert threshold == pytest.approx(oracle_threshold)
@@ -62,14 +63,14 @@ class TestBhSelect:
         rng = np.random.default_rng(42)
         p = rng.uniform(size=10_000)
         p[:300] = rng.uniform(0, 1e-4, size=300)
-        threshold, mask = bh_select(p, alpha=0.05)
+        threshold, mask = bh_select(p, alpha=0.05, m_total=p.size)
         _, oracle_mask = _bh_oracle(p.tolist(), 0.05)
         assert mask.tolist() == oracle_mask
 
     def test_rejections_form_prefix_of_sorted_order(self):
         rng = np.random.default_rng(43)
         p = rng.uniform(size=200)
-        _, mask = bh_select(p, alpha=0.1)
+        _, mask = bh_select(p, alpha=0.1, m_total=p.size)
         ranked = np.sort(p)
         rejected = np.sort(p[mask])
         assert np.array_equal(rejected, ranked[:rejected.size])
@@ -79,15 +80,15 @@ class TestBhSelect:
         for _ in range(100):
             m = int(rng.integers(1, 40))
             p = (rng.uniform(size=m) ** 3).tolist()
-            _, mask = bh_select(p, alpha=0.05)
-            _, mask2 = bh_select(p + [1.0], alpha=0.05)
+            _, mask = bh_select(p, alpha=0.05, m_total=m)
+            _, mask2 = bh_select(p + [1.0], alpha=0.05, m_total=m + 1)
             # the original entries' flags are monotone non-increasing
             assert all(b <= a for a, b in zip(mask, mask2[:-1]))
 
     def test_m_total_widens_family(self):
         p = [1e-4, 5e-4, 2e-3]
-        _, mask_default = bh_select(p, alpha=0.01)
-        assert mask_default.tolist() == [True, True, True]
+        _, mask_own = bh_select(p, alpha=0.01, m_total=len(p))
+        assert mask_own.tolist() == [True, True, True]
         # rank-1 critical value falls to 0.01/50 = 2e-4: only 1e-4 survives
         _, mask_wide = bh_select(p, alpha=0.01, m_total=50)
         assert mask_wide.tolist() == [True, False, False]
@@ -109,10 +110,10 @@ class TestBiologicalCutoff:
         noise = NoiseModel(1.0, background=background)
         segments = [Candidate(start, end, 0.0, 0.0) for start, end in intervals]
         uncut = finalize(profile, segments, ScanConfig(background=background),
-                         noise=noise, ps=ps)
+                         noise=noise, ps=ps, m_total=len(segments))
         assert all(r.significant for r in uncut.records)
         return finalize(profile, segments, ScanConfig(p_b=p_b, background=background),
-                        noise=noise, ps=ps)
+                        noise=noise, ps=ps, m_total=len(segments))
 
     def test_small_mean_cleared(self):
         out = self._finalize([0.3], p_b=0.5)
@@ -158,7 +159,8 @@ class TestFinalize:
 
     def test_empty(self):
         profile, ps, noise, selected = self._setup(np.zeros(20) + 0.1, [])
-        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps)
+        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps,
+                          m_total=len(selected))
         assert result.records == ()
         assert result.bh_threshold == 0.0
 
@@ -178,7 +180,7 @@ class TestFinalize:
                 + sorted(rng.choice(np.arange(770, 2000), size=200, replace=False).tolist()))
         stale = [Candidate(s, e, 0.0, 0.0) for s, e in zip(cuts[::2], cuts[1::2])]
         cfg = ScanConfig(sides=sides, background=0.4)
-        result = finalize(profile, stale, cfg, noise=noise, ps=ps)
+        result = finalize(profile, stale, cfg, noise=noise, ps=ps, m_total=len(stale))
         assert [(r.start, r.end) for r in result.records] == [c.interval for c in stale]
         assert max(abs(r.z) for r in result.records) > 37.0
         for record in result.records:
@@ -188,11 +190,30 @@ class TestFinalize:
             assert [x.hex() for x in got] == [x.hex() for x in expected]
             assert type(record.significant) is bool
 
+    @pytest.mark.parametrize("intervals, pair", [
+        ([(0, 10), (5, 20)], "[0, 10) before [5, 20)"),
+        ([(30, 40), (0, 10)], "[30, 40) before [0, 10)"),
+        ([(0, 5), (5, 9), (8, 12), (20, 30), (25, 28)], "[5, 9) before [8, 12)"),
+    ], ids=["overlap", "out-of-order", "first-bad-pair"])
+    def test_overlapping_or_unordered_segments_rejected(self, intervals, pair):
+        # finalize takes merge_adjacent's output as it is and names the first bad pair
+        profile, ps, noise, segments = self._setup(np.zeros(40), intervals)
+        with pytest.raises(ValidationError, match=re.escape(pair)):
+            finalize(profile, segments, ScanConfig(), noise=noise, ps=ps,
+                     m_total=len(segments))
+
+    def test_touching_segments_accepted(self):
+        profile, ps, noise, segments = self._setup(np.zeros(40), [(0, 5), (5, 9), (9, 40)])
+        result = finalize(profile, segments, ScanConfig(), noise=noise, ps=ps,
+                          m_total=len(segments))
+        assert [(r.start, r.end) for r in result.records] == [(0, 5), (5, 9), (9, 40)]
+
     def test_single_strong_segment(self):
         values = np.zeros(100)
         values[40:60] = 4.0
         profile, ps, noise, selected = self._setup(values, [(40, 60)])
-        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps)
+        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps,
+                          m_total=len(selected))
         assert len(result.records) == 1
         assert result.records[0].significant
 
@@ -225,11 +246,11 @@ class TestFinalize:
         values[100:140] += 2.5
         profile, ps, noise, selected = self._setup(values, [(100, 140), (200, 205)])
         cfg = ScanConfig()
-        first = finalize(profile, selected, cfg, noise=noise, ps=ps)
+        first = finalize(profile, selected, cfg, noise=noise, ps=ps, m_total=len(selected))
         again = finalize(profile,
                          [Candidate(r.start, r.end, r.z, r.log_p)
                           for r in first.records],
-                         cfg, noise=noise, ps=ps)
+                         cfg, noise=noise, ps=ps, m_total=len(first.records))
         assert again.records == first.records
         assert again.bh_threshold == first.bh_threshold
 
@@ -251,7 +272,8 @@ class TestFinalize:
         values = np.zeros(2000)
         values[1000:1100] = 6.0
         profile, ps, noise, selected = self._setup(values, [(1000, 1100)])
-        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps)
+        result = finalize(profile, selected, ScanConfig(), noise=noise, ps=ps,
+                          m_total=len(selected))
         record, = result.records
         assert record.significant
         assert math.exp(record.log_p) == 0.0
