@@ -69,8 +69,7 @@ refined = refine_all(ctx, selected)
 merged = merge_adjacent(ctx, refined)
 n_merges = sum(1 for op, *_ in trace if op == "merge")
 print(f"\nrefinement accepted {len(trace) - n_merges} boundary moves, then {n_merges} merges")
-print("  " + " ".join(f"[{s},{e})" for s, e in
-                      sorted(seg.interval for seg in merged)))
+print("  " + " ".join(f"[{seg.start},{seg.end})" for seg in merged))
 
 # ---------------------------------------------------------------------------
 # Stage 5: significance calls with BH FDR control. The correction counts

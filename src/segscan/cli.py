@@ -23,6 +23,7 @@ from .errors import SegscanError
 from .pipeline import segment_profile
 from .profiles import read_profile, read_segments, write_segments
 from .scanning import ScanConfig
+from .stats import NoiseModel
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -276,6 +277,9 @@ def _segment_forked(work: list, workers: int) -> list:
 
 def _cmd_segment(args) -> int:
     cfg = _config_from(args)
+    if args.sigma is not None:
+        # a bad --sigma fails once, like a bad scan flag, not once per input
+        NoiseModel(args.sigma, cfg.background)
     inputs = [Path(p) for p in args.inputs]
     if len(inputs) == 1:
         targets = [args.output]

@@ -6,7 +6,8 @@ Supported input formats:
 * ``tsv``: three tab-separated columns (label, position, value).
 * ``bedgraph``: standard 4-column chrom/start/end/value; every interval row
   contributes exactly one measurement, with its start used as the position
-  and an integer end above the start required.
+  and an integer end above the start and not past the next row's start
+  required: rows may touch but not overlap.
 
 Columns past the value, comment lines (leading ``#``) and ``track`` lines
 (first whitespace-delimited token exactly ``track``) are skipped. Missing or
@@ -169,7 +170,8 @@ def parse_profile(source, format: str = "plain") -> Profile:
     the offending line: non-ASCII text past the leading header (or anywhere
     in tsv and bedGraph), a skipped or blank line past the header, a row
     with missing fields, a bad or non-finite number, a bedGraph end not
-    above its start, mixed labels, positions that do not increase, no data.
+    above its start or past the next row's start, mixed labels, positions
+    that do not increase, no data.
     In plain text the bulk pass reads with ``float()`` the few lines it
     cannot read exactly as integers ("1e-05", "+1"), so they stay on it.
     """
@@ -215,11 +217,13 @@ def _parse_bulk(data: bytes, format: str) -> Profile | None:
     columns = _COLUMNS[format][0]
     dtype = [(name, "f8" if name == "value" else "i8") for name in columns]
     # Profile rejects non-finite values and positions that do not increase;
-    # it never sees a bedGraph end
+    # it never sees a bedGraph end, so each end is checked here: above its
+    # start, and not past the next row's start
     try:
         rows = np.loadtxt(lines, dtype=dtype, delimiter="\t", comments=None, quotechar=None,
                           usecols=tuple(columns.values()), ndmin=1)
-        if "end" in columns and not (rows["end"] > rows["position"]).all():
+        if "end" in columns and not ((rows["end"] > rows["position"]).all()
+                                     and (rows["end"][:-1] <= rows["position"][1:]).all()):
             return None
         return Profile(rows["value"], positions=rows["position"], label=label)
     except (ValueError, ValidationError):
@@ -438,6 +442,10 @@ def _parse_lines(text: str, format: str) -> Profile:
             raise ProfileParseError("positions must be strictly increasing "
                                     f"({positions[-1]} then {position})", line=lineno)
         if "end" in columns:
+            # ``end`` is still the previous row's
+            if positions and position < end:
+                raise ProfileParseError(f"start {position} is before the previous row's "
+                                        f"end {end}", line=lineno)
             end = _parse_int(fields[columns["end"]], "end", lineno)
             if end <= position:
                 raise ProfileParseError(f"end {end} is not above start {position}", line=lineno)
@@ -477,14 +485,13 @@ def _record_row(record: SegmentRecord, profile: Profile) -> str:
 
 
 def write_segments(result, profile: Profile, format: str = "tsv") -> bytes:
-    """Serialize a segmentation result as a tsv (with header) or bed table."""
+    """Serialize a segmentation result as a tsv (with header) or bed table, in record order."""
     if format not in ("tsv", "bed"):
         raise ValidationError(f"unknown output format {format!r}")
-    records = sorted(result.records, key=lambda r: r.start)
     lines = []
     if format == "tsv":
         lines.append("#" + "\t".join(OUTPUT_COLUMNS))
-    for record in records:
+    for record in result.records:
         if record.end > len(profile):
             raise ValidationError(f"segment [{record.start}, {record.end}) exceeds profile length")
         lines.append(_record_row(record, profile))

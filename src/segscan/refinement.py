@@ -50,8 +50,7 @@ from itertools import count, cycle
 
 import numpy as np
 
-from .errors import ValidationError
-from .scanning import Candidate, ScanConfig, _check_background
+from .scanning import Candidate, ScanConfig, _check_background, _check_start_order
 from .selection import BoundarySet
 from .stats import NoiseModel, log_p_value, log_p_value_batch, z_statistic, z_statistic_batch
 
@@ -300,16 +299,14 @@ def _quiet(ctx: RefineContext, segs: list[Candidate]) -> list[bool]:
 def refine_all(ctx: RefineContext, selected: list[Candidate]) -> list[Candidate]:
     """Refine every selected segment, best p-value first.
 
-    ``selected`` must be disjoint (ValidationError otherwise). Each segment
-    refines between its neighbors in start order as they stand at that
-    moment, refined or not. The segments _quiet clears are kept as they
-    are, without running refine_segment, which would return them
-    unchanged. Returns the refined segments sorted by start.
+    ``selected`` must be disjoint and in start order (ValidationError
+    otherwise). Each segment refines between its neighbors as they stand at
+    that moment, refined or not. The segments _quiet clears are kept as they
+    are, without running refine_segment, which would return them unchanged.
+    Returns the refined segments in start order.
     """
-    segs = sorted(selected, key=lambda c: c.start)
-    for a, b in zip(segs, segs[1:]):
-        if a.end > b.start:
-            raise ValidationError(f"segments [{a.start}, {a.end}) and [{b.start}, {b.end}) overlap")
+    segs = list(selected)
+    _check_start_order(segs)
     quiet = _quiet(ctx, segs)
     last = len(segs) - 1
     for i in sorted((i for i, q in enumerate(quiet) if not q), key=lambda i: segs[i].sort_key):
@@ -327,14 +324,15 @@ def merge_adjacent(ctx: RefineContext, selected: list[Candidate]) -> list[Candid
     segment is re-tested against its left neighbor, then its right one; the
     pass ends at a fixpoint where no consecutive pair can merge. The span
     beats both iff it beats the better member, and it gets a log p only if
-    its key reaches the floor of the better member's. Returns the segments
-    sorted by start.
+    its key reaches the floor of the better member's. ``selected`` must be
+    disjoint and in start order (ValidationError otherwise), as is the result.
     """
+    _check_start_order(selected)
     item, noise = ctx.ps.item, ctx.noise
     sides = ctx.cfg.sides
     key = _key(sides)
     merged: list[Candidate] = []
-    for right in sorted(selected, key=lambda c: c.start):
+    for right in selected:
         while merged:
             left = merged[-1]
             better = left if left.log_p <= right.log_p else right

@@ -192,6 +192,15 @@ def _check_background(noise: NoiseModel, cfg: ScanConfig) -> None:
                               f"ScanConfig background {cfg.background!r}")
 
 
+def _check_start_order(segments) -> None:
+    """Raise ValidationError naming the first pair of ``segments`` that overlaps or is
+    out of start order."""
+    for a, b in zip(segments, segments[1:]):
+        if a.end > b.start:
+            raise ValidationError(f"segments overlap or are out of start order: "
+                                  f"[{a.start}, {a.end}) before [{b.start}, {b.end})")
+
+
 def _scales(cfg: ScanConfig):
     """Yield the real-valued window lengths w_min * rho**i <= w_max, i = 0, 1, ..."""
     i = 0

@@ -17,20 +17,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
 from .profiles import Profile, SegmentRecord
-from .scanning import Candidate, ScanConfig, _check_background
+from .scanning import Candidate, ScanConfig, _check_background, _check_start_order
 from .stats import TINY_P, NoiseModel, log_p_value_batch, z_statistic_batch
 
 
 @dataclass(frozen=True)
 class SegmentationResult:
-    """Final disjoint segments with significance calls and run provenance."""
+    """Final segments, disjoint and in start order (ValidationError otherwise),
+    with significance calls and run provenance."""
 
     records: tuple[SegmentRecord, ...]
     bh_threshold: float
     config: ScanConfig
     noise: NoiseModel
+
+    def __post_init__(self):
+        _check_start_order(self.records)
 
     def significant(self) -> list[SegmentRecord]:
         return [r for r in self.records if r.significant]
@@ -76,10 +79,6 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     _check_background(noise, cfg)
     start = np.fromiter((seg.start for seg in refined), np.int64, len(refined))
     end = np.fromiter((seg.end for seg in refined), np.int64, len(refined))
-    if (bad := np.flatnonzero(end[:-1] > start[1:])).size:
-        i = int(bad[0])
-        raise ValidationError(f"segments overlap or are out of start order: [{start[i]}, "
-                              f"{end[i]}) before [{start[i + 1]}, {end[i + 1]})")
     sums = ps[end] - ps[start]
     mean = sums / (end - start)
     z = z_statistic_batch(sums, end - start, noise)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ProfileParseError, ValidationError
 from .profiles import Profile, _decode
+from .scanning import _check_start_order
 
 @dataclass(frozen=True)
 class PlantedSegment:
@@ -69,10 +70,7 @@ class SimSpec:
             if seg.end > self.length:
                 raise ValidationError(f"planted segment [{seg.start}, {seg.end}) "
                                       f"exceeds length {self.length}")
-        for a, b in zip(ordered, ordered[1:]):
-            if b.start < a.end:
-                raise ValidationError(f"planted segments [{a.start}, {a.end}) and "
-                                      f"[{b.start}, {b.end}) overlap")
+        _check_start_order(ordered)
 
 
 def simulate(spec: SimSpec, label: str | None = None) -> tuple[Profile, list[PlantedSegment]]:

@@ -127,6 +127,13 @@ class TestSegment:
         assert main(["segment", str(bad), "--format", fmt]) == 2
         assert f"{bad}: line 3: positions must be strictly increasing" in capsys.readouterr().err
 
+    def test_overlapping_bedgraph_rows_name_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "overlap.bedgraph"
+        bad.write_text("c\t0\t100\t0.25\nc\t50\t150\t0.5\nc\t150\t200\t0.75\n")
+        assert main(["segment", str(bad), "--format", "bedgraph"]) == 2
+        assert capsys.readouterr().err == (f"segscan: error: {bad}: line 2: start 50 is "
+                                           "before the previous row's end 100\n")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_bad_input_keeps_good_tables(self, tmp_path, capsys, jobs):
         good = _write_profile(tmp_path / "good.txt", seed=6)
@@ -267,7 +274,8 @@ class TestSegment:
         assert capsys.readouterr().err == f"segscan: error: {out}: File exists\n"
 
     @pytest.mark.parametrize("flag, value, field", [("--rho", "inf", "rho"),
-                                                    ("--pb", "nan", "p_b")])
+                                                    ("--pb", "nan", "p_b"),
+                                                    ("--sigma", "nan", "sigma")])
     def test_nonfinite_scan_parameter_is_data_error(self, tmp_path, capsys, flag, value, field):
         path = _write_profile(tmp_path / "p.txt", seed=34)
         assert main(["segment", str(path), flag, value]) == 2

@@ -2,6 +2,7 @@ import codecs
 import decimal
 import io
 import math
+import re
 import warnings
 
 import numpy as np
@@ -140,7 +141,10 @@ def test_non_increasing_position_names_its_line(parse, fmt, third, previous):
     ("c\t0\t10\t0.5\nc\t10\t10\t0.25\n", "line 2: end 10 is not above start 10"),
     ("c\t0\t10\t0.5\nc\t10\t9223372036854775808\t0.25\n",
      "line 2: end '9223372036854775808' does not fit a 64-bit integer"),
-], ids=["malformed", "below", "equal", "beyond-int64"])
+    # rows may touch but not overlap: these two once parsed to positions [0, 50]
+    ("c\t0\t100\t0.5\nc\t50\t150\t0.25\n",
+     "line 2: start 50 is before the previous row's end 100"),
+], ids=["malformed", "below", "equal", "beyond-int64", "overlap"])
 def test_bad_bedgraph_end_names_its_line(parse, text, message):
     with pytest.raises(ProfileParseError) as err:
         parse(text, "bedgraph")
@@ -229,20 +233,22 @@ def _profile_texts(draw):
     values = [repr(v) for v in draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                              min_size=n, max_size=n))]
     positions = np.cumsum(draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))).tolist()
+    # a clean bedGraph row ends 50 past its start or, if sooner, where the next row starts
+    ends = [min(pos + 50, nxt) for pos, nxt in zip(positions, positions[1:] + [math.inf])]
     pad = st.sampled_from(["", " ", "  ", "\u00a0", "\x1f"])
     # a clean text takes the bulk pass; a defect on some rows makes it defer
     defect = draw(st.sampled_from([None, "nonfinite", "malformed", "fields", "label",
-                                   "position", "order", "end", "skipped"]))
+                                   "position", "order", "end", "overlap", "skipped"]))
     hit = set(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))) if defect else ()
     rows = []
-    for i, (value, pos) in enumerate(zip(values, positions)):
+    for i, (value, pos, end) in enumerate(zip(values, positions, ends)):
         if defect in _VALUE_DEFECTS and i in hit:
             value = draw(st.sampled_from(_VALUE_DEFECTS[defect]))
         value = draw(pad) + value + draw(pad)
         if fmt == "plain":
             rows.append(value)
             continue
-        fields = ["chr1", str(pos)] + ([str(pos + 50)] if fmt == "bedgraph" else []) + [value]
+        fields = ["chr1", str(pos)] + ([str(end)] if fmt == "bedgraph" else []) + [value]
         if i in hit and defect == "fields":
             fields = fields + ["extra"] if draw(st.booleans()) else fields[:-1]
         elif i in hit and defect == "label":
@@ -255,6 +261,8 @@ def _profile_texts(draw):
         elif i in hit and defect == "end" and fmt == "bedgraph":
             fields[2] = draw(st.sampled_from(["abc", "", "1.5", str(pos), str(pos - 7),
                                               str(2 ** 70)]))
+        elif i in hit and defect == "overlap" and fmt == "bedgraph" and i < n - 1:
+            fields[2] = str(positions[i + 1] + draw(st.integers(1, 3)))
         rows.append("\t".join(fields))
     if defect == "skipped":
         for i in sorted(hit, reverse=True):
@@ -591,11 +599,12 @@ class TestWriteSegments:
         assert len(lines) == 2
         assert lines[1] == ".\t0\t3\t0.9\t1.56\t0.119\t1"
 
-    def test_rows_sorted_by_start(self):
+    def test_result_refuses_unordered_records(self):
+        # write_segments writes the records in their order, which the
+        # result holds to start order
         records = [_record(5, 8, 0.1, 0.2, 0.8, False), _record(0, 2, 0.3, 0.4, 0.7, False)]
-        out = write_segments(_result(records), Profile(np.zeros(10) + 0.5))
-        starts = [int(line.split("\t")[1]) for line in out.decode().splitlines()[1:]]
-        assert starts == sorted(starts)
+        with pytest.raises(ValidationError, match=re.escape("[5, 8) before [0, 2)")):
+            _result(records)
 
     def test_bed_has_no_header_and_uses_positions(self):
         profile = Profile([0.5, 0.6], positions=[100, 200], label="chr3")

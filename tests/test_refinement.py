@@ -1,4 +1,5 @@
 import math
+import re
 from bisect import bisect_left, bisect_right
 from itertools import cycle
 
@@ -313,6 +314,16 @@ class TestMerge:
         for a, b in zip(segs, segs[1:]):
             span = _stat(ctx, a.start, b.end)
             assert not (span.log_p < a.log_p and span.log_p < b.log_p)
+
+    @pytest.mark.parametrize("pieces, pair", [
+        ([(10, 30), (29, 40)], "[10, 30) before [29, 40)"),
+        ([(30, 40), (0, 10)], "[30, 40) before [0, 10)"),
+    ], ids=["overlap", "out-of-order"])
+    def test_overlapping_or_unordered_input_raises(self, pieces, pair):
+        # merge_adjacent takes refine_all's start-ordered output as it is
+        ctx = _context(np.zeros(60) + 0.5)
+        with pytest.raises(ValidationError, match=re.escape(pair)):
+            merge_adjacent(ctx, [_stat(ctx, s, e) for s, e in pieces])
 
     def test_trace_records_strict_decreases(self):
         trace = []
@@ -632,7 +643,7 @@ def test_quiet_matches_scalar_reference(seed, n, dof, scale, sides, background, 
 
 
 @pytest.mark.parametrize("pieces", [[(10, 30), (29, 40)], [(20, 40), (0, 50)],
-                                    [(5, 10), (5, 12)]])
+                                    [(5, 10), (5, 12)], [(30, 40), (0, 10)]])
 def test_overlapping_input_raises(pieces):
     ctx = _context(np.zeros(60) + 0.5)
     with pytest.raises(ValidationError, match="overlap"):
