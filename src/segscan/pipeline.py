@@ -9,6 +9,10 @@ from .selection import select_nonoverlapping
 from .significance import SegmentationResult, finalize
 from .stats import NoiseModel, build_prefix_sums, estimate_sigma_mad
 
+# the config segment_profile runs with when given none; ScanConfig is frozen,
+# so one instance serves every call without a validation pass per call
+_DEFAULT_CONFIG = ScanConfig()
+
 
 def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
                     sigma: float | None = None, trace: list | None = None) -> SegmentationResult:
@@ -26,7 +30,7 @@ def segment_profile(profile: Profile, cfg: ScanConfig | None = None, *,
     trace : list, optional
         Collects accepted refinement and merge moves.
     """
-    cfg = (cfg or ScanConfig()).clamped(len(profile))
+    cfg = (cfg or _DEFAULT_CONFIG).clamped(len(profile))
     if sigma is not None:
         noise = NoiseModel(sigma=sigma, background=cfg.background)
     else:

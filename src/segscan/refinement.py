@@ -52,7 +52,7 @@ import numpy as np
 
 from .scanning import Candidate, ScanConfig, _check_background, _check_start_order
 from .selection import BoundarySet
-from .stats import NoiseModel, log_p_value, log_p_value_batch, z_statistic, z_statistic_batch
+from .stats import NoiseModel, _log_p_values, log_p_value, z_statistic, z_statistic_batch
 
 
 @dataclass
@@ -176,7 +176,7 @@ def _search_gap(ctx: RefineContext, cur: Candidate, lo: int, hi: int,
         rows = np.flatnonzero(key(z) >= floor)
         if not rows.size:
             return None
-        log_p = log_p_value_batch(z[rows], sides)
+        log_p = _log_p_values(z[rows], sides)
         j = int(np.argmin(log_p))
         if not log_p[j] < cur.log_p:
             return None
@@ -290,7 +290,7 @@ def _quiet(ctx: RefineContext, segs: list[Candidate]) -> list[bool]:
     floor = _floor(key(np.fromiter((seg.z for seg in segs), np.float64, m)))
     rows = np.flatnonzero(key(z) >= floor[which])
     log_p = np.fromiter((seg.log_p for seg in segs), np.float64, m)
-    better = log_p_value_batch(z[rows], sides) < log_p[which[rows]]
+    better = _log_p_values(z[rows], sides) < log_p[which[rows]]
     quiet = np.ones(m, dtype=bool)
     quiet[which[rows[better]]] = False
     return quiet.tolist()

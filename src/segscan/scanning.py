@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .stats import NoiseModel, OpCounter, log_p_value_batch, z_cut, z_statistic_batch
+from .stats import NoiseModel, OpCounter, _log_p_values, z_cut, z_statistic_batch
 
 logger = logging.getLogger(__name__)
 
@@ -327,12 +327,15 @@ def _scale_hits(ps: np.ndarray, w: np.ndarray, stride: np.ndarray, m: np.ndarray
     above_buf = np.empty(n + 1, dtype=bool)
     below_buf = np.empty(n + 1, dtype=bool)
     hits, hit_sums = [], []
-    for w_i, stride_i, m_i, placed_i, hi_i, lo_i in zip(
-            w.tolist(), stride.tolist(), m.tolist(), placed.tolist(), hi.tolist(), lo.tolist()):
+    # tail_i is the scale's right-aligned window sum, ps[n] - ps[n - w_i],
+    # taken for every scale in one vector subtraction
+    for w_i, stride_i, m_i, placed_i, hi_i, lo_i, tail_i in zip(
+            w.tolist(), stride.tolist(), m.tolist(), placed.tolist(), hi.tolist(), lo.tolist(),
+            (ps[n] - ps[n - w]).tolist()):
         sums = sums_buf[:placed_i]
         np.subtract(ps[w_i::stride_i], ps[:n - w_i + 1:stride_i], out=sums[:m_i])
         if placed_i > m_i:
-            sums[m_i] = ps.item(n) - ps.item(n - w_i)
+            sums[m_i] = tail_i
         near = np.greater_equal(sums, hi_i, out=above_buf[:placed_i])
         if two:
             np.logical_or(near, np.less_equal(sums, lo_i, out=below_buf[:placed_i]), out=near)
@@ -374,7 +377,7 @@ def _fill_rows(scale: np.ndarray, start: np.ndarray, z: np.ndarray, w: np.ndarra
         lengths = w.take(at, out=buf, mode="clip")
         np.add(starts, lengths, out=end[rows_at])
         z[rows_at] = z_statistic_batch(z[rows_at], lengths, noise)
-        log_p[rows_at] = log_p_value_batch(z[rows_at], sides)
+        log_p[rows_at] = _log_p_values(z[rows_at], sides)
     return end, log_p
 
 

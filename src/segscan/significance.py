@@ -19,7 +19,7 @@ import numpy as np
 
 from .profiles import Profile, SegmentRecord
 from .scanning import Candidate, ScanConfig, _check_background, _check_start_order
-from .stats import TINY_P, NoiseModel, log_p_value_batch, z_statistic_batch
+from .stats import TINY_P, NoiseModel, _log_p_values, z_statistic_batch
 
 
 @dataclass(frozen=True)
@@ -68,11 +68,15 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     ``refined`` is disjoint and in start order, as merge_adjacent returns
     it; ValidationError names the first pair that is not. Statistics are
     recomputed from the prefix sums ``ps`` under ``noise`` rather than
-    trusted from the refinement caches, in one pass of the batch kernels,
-    which give segment_stats' values bit for bit. ``profile`` is not read;
-    it stays so that positional callers work. ``m_total`` is the size of
-    the hypothesis family the segments were drawn from: in the pipeline,
-    the number of candidates the scan retained. ``bh_threshold`` comes
+    trusted from the refinement caches, in one vector pass whose log p
+    comes from stats._log_p_values: the scalar kernel per segment below
+    LOG_P_SCALAR_BELOW segments, as on most short profiles, where the
+    batch kernel's fixed cost per call would outweigh the work, and the
+    batch kernel otherwise. Either way the values are segment_stats' bit
+    for bit. ``profile`` is not read; it stays so that positional callers
+    work. ``m_total`` is the size of the hypothesis family the segments
+    were drawn from: in the pipeline, the number of candidates the scan
+    retained. ``bh_threshold`` comes
     from BH alone, before the cutoff: 0 when nothing is rejected and
     otherwise at least TINY_P, like SegmentRecord.p_value.
     """
@@ -82,7 +86,7 @@ def finalize(profile: Profile, refined: list[Candidate], cfg: ScanConfig,
     sums = ps[end] - ps[start]
     mean = sums / (end - start)
     z = z_statistic_batch(sums, end - start, noise)
-    log_ps = log_p_value_batch(z, cfg.sides)
+    log_ps = _log_p_values(z, cfg.sides)
     log_threshold, called = bh_select_log(log_ps, cfg.alpha, m_total)
     threshold = max(math.exp(log_threshold), TINY_P) if called.any() else 0.0
     if cfg.p_b is not None:

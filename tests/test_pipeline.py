@@ -59,6 +59,21 @@ def test_config_and_noise_echoed():
     assert result.noise.sigma == 1.0
 
 
+def test_default_config_carries_no_state():
+    # segment_profile without a config runs on one shared ScanConfig; a
+    # profile shorter than w_max clamps it, and the profiles after it must
+    # still get the full default, record for record
+    short, _ = simulate(SimSpec(length=150, planted=(PlantedSegment(40, 90, 1.0),),
+                                snr=2.0, seed=5))
+    long, _ = simulate(SimSpec(length=3000, planted=(PlantedSegment(1000, 1400, 0.8),),
+                               snr=1.0, seed=5))
+    for profile in (short, long, short):
+        default, explicit = segment_profile(profile), segment_profile(profile, ScanConfig())
+        assert default.records == explicit.records
+        assert default.config == explicit.config
+        assert default.bh_threshold == explicit.bh_threshold
+
+
 def test_biological_cutoff_flows_through():
     values = np.zeros(800)
     values[100:200] = 0.4   # strong z (length 100) but small mean

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 from scipy.special import log_ndtr
 
+import segscan.stats as segscan_stats
 from segscan import (DegenerateScaleError, NoiseModel, Profile, ScanConfig, SimSpec,
                      ValidationError, build_prefix_sums, estimate_sigma_mad, log_p_value,
                      scan, simulate, z_statistic)
 from segscan.refinement import _floor
-from segscan.stats import (_A_MAX, _NODES_PER_UNIT, LOG_TWO, OpCounter, log_p_value_batch,
-                           segment_stats, z_cut)
+from segscan.stats import (_A_MAX, _NODES_PER_UNIT, LOG_P_SCALAR_BELOW, LOG_TWO, OpCounter,
+                           _log_p_values, log_p_value_batch, segment_stats, z_cut)
 
 
 class TestPrefixSums:
@@ -282,6 +283,43 @@ class TestTailKernel:
         batch = log_p_value_batch(np.array(zs), sides)
         for z, b in zip(zs, batch.tolist()):
             assert log_p_value(z, sides).hex() == b.hex() == log_p_value_batch([z], sides)[0].hex()
+
+    @settings(max_examples=60, deadline=None)
+    @given(zs=st.sampled_from([0, 1, LOG_P_SCALAR_BELOW - 1, LOG_P_SCALAR_BELOW,
+                               LOG_P_SCALAR_BELOW + 1, 300]).flatmap(
+               lambda size: st.lists(
+                   st.one_of(st.floats(-1e4, 1e4), st.floats(-40.0, 40.0),
+                             st.sampled_from([0.0, -0.0, math.nan, 37.5, -37.5, 38.3, -38.3,
+                                              1e200, -1e200])),
+                   min_size=size, max_size=size)),
+           sides=st.sampled_from(["one", "two"]))
+    @example(zs=[], sides="two")
+    @example(zs=[-0.0, 0.0, math.nan, -38.3, 38.3, -3.0, 3.0], sides="one")
+    def test_log_p_values_equals_batch_bit_for_bit(self, zs, sides):
+        # _log_p_values picks the scalar or the batch kernel by size; either
+        # must give the batch kernel's values, also for |z| > 37, one-sided
+        # z < 0, signed zeros and nan
+        z = np.array(zs, dtype=np.float64)
+        got = _log_p_values(z, sides)
+        assert got.dtype == np.float64 and got.shape == z.shape
+        assert [v.hex() for v in got.tolist()] == [
+            v.hex() for v in log_p_value_batch(z, sides).tolist()]
+
+    @pytest.mark.parametrize("sides, far", [("two", 40.0), ("two", -40.0), ("one", -1.0)])
+    def test_short_array_with_handed_on_values_takes_one_batch_call(self, monkeypatch, sides,
+                                                                   far):
+        # a value the scalar kernel hands on costs a batch call of its own,
+        # so a short array holding any goes to the batch kernel whole
+        calls = []
+        batch = log_p_value_batch
+        monkeypatch.setattr(segscan_stats, "log_p_value_batch", lambda *a: calls.append(a) or batch(*a))
+        z = np.array([1.0, far, 2.0, far], dtype=np.float64)
+        assert [v.hex() for v in _log_p_values(z, sides).tolist()] == [
+            v.hex() for v in batch(z, sides).tolist()]
+        assert len(calls) == 1
+        calls.clear()
+        _log_p_values(np.array([1.0, 2.0]), sides)
+        assert not calls
 
     @pytest.mark.parametrize("sides", ["two", "one"])
     def test_scalar_equals_batch_on_every_piece(self, sides):
